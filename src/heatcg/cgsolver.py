@@ -15,10 +15,10 @@ the same matrix yield bitwise identical iterates (see linalg).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from ._checks import checked_count, checked_real
 from .linalg import (
     CrsMatrix,
     DenseMatrix,
@@ -85,17 +85,8 @@ class CgConfig:
     initial_guess: Optional[Vector] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
-            raise TypeError(
-                f"max_iterations must be an integer, got {type(self.max_iterations).__name__}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise TypeError(f"tolerance must be a real number, got {type(tol).__name__}")
-        if not math.isfinite(tol) or tol <= 0:
-            raise ValueError(f"tolerance must be a finite positive real, got {tol!r}")
+        checked_count(self.max_iterations, "max_iterations", 1)
+        checked_real(self.tolerance, "tolerance", "positive")
         if self.initial_guess is not None:
             _require_column(self.initial_guess, "initial_guess")
 
@@ -120,10 +111,7 @@ class CgState:
                 f"phi, r, d must have identical lengths, got "
                 f"{len(self.phi)}, {len(self.r)}, {len(self.d)}"
             )
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"n must be an integer, got {type(self.n).__name__}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        checked_count(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -202,35 +190,18 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
         x0 = Vector([0.0] * len(b))
     state = cg_init(apply_a, b, x0)
     residual_norm = l2_norm(state.r)
-    if residual_norm <= config.tolerance:
-        return CgResult(
-            solution=state.phi,
-            iterations=0,
-            residual_norm=residual_norm,
-            converged=True,
-        )
-    for _ in range(config.max_iterations):
+    breakdown = False
+    while residual_norm > config.tolerance and state.n < config.max_iterations:
         try:
             state = cg_step(state, apply_a)
         except CgBreakdownError:
-            return CgResult(
-                solution=state.phi,
-                iterations=state.n,
-                residual_norm=residual_norm,
-                converged=False,
-                breakdown=True,
-            )
+            breakdown = True
+            break
         residual_norm = l2_norm(state.r)
-        if residual_norm <= config.tolerance:
-            return CgResult(
-                solution=state.phi,
-                iterations=state.n,
-                residual_norm=residual_norm,
-                converged=True,
-            )
     return CgResult(
         solution=state.phi,
         iterations=state.n,
         residual_norm=residual_norm,
-        converged=False,
+        converged=residual_norm <= config.tolerance,
+        breakdown=breakdown,
     )

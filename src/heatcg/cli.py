@@ -3,8 +3,9 @@
 Data goes to standard output (solve: CSV temperature profile; verify: the
 error norm; pyramid: the report), diagnostics go to standard error. Exit
 codes: 0 success, 1 failed check (non-convergence, error above threshold,
-failing or slow tests), 2 invalid options or unreadable/malformed input,
-3 pyramid ordering violation.
+failing or slow tests), 2 invalid options, unreadable/malformed input, or
+a problem whose assembly or solve overflows binary64, 3 pyramid ordering
+violation.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -18,7 +19,7 @@ import sys
 from typing import IO, Optional, Sequence
 
 from .cgsolver import CgConfig
-from .heat1d import HeatProblem, cell_centers, solve_heat
+from .heat1d import HeatProblem, HeatSolution, cell_centers, solve_heat
 from .testpyramid import (
     DEFAULT_UNIT_BUDGET_MS,
     Layer,
@@ -101,6 +102,14 @@ def _heat_inputs(args: argparse.Namespace) -> tuple[HeatProblem, CgConfig]:
     return problem, config
 
 
+def _solve(problem: HeatProblem, config: CgConfig, storage: str) -> Optional[HeatSolution]:
+    try:  # finite but extreme options can overflow, or underflow dx to 0
+        return solve_heat(problem, config, storage=storage)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)
+        return None
+
+
 def _write_profile(stream: IO[str], xs: Sequence[float], temps: Sequence[float]) -> None:
     stream.write("x,temperature\n")
     for x, t in zip(xs, temps):
@@ -109,7 +118,9 @@ def _write_profile(stream: IO[str], xs: Sequence[float], temps: Sequence[float])
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, config = _heat_inputs(args)
-    solution = solve_heat(problem, config, storage=args.storage)
+    solution = _solve(problem, config, args.storage)
+    if solution is None:
+        return 2
     xs = cell_centers(problem).components
     temps = solution.temperature.components
     if args.out is not None:
@@ -136,7 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     threshold = args.threshold
     if not math.isfinite(threshold) or threshold <= 0:
         args.subparser.error(f"--threshold must be a finite positive real, got {threshold!r}")
-    solution = solve_heat(problem, config, storage=args.storage)
+    solution = _solve(problem, config, args.storage)
+    if solution is None:
+        return 2
     cg = solution.cg
     error = solution.l2_error_vs_analytic
     print(_fmt(error))

@@ -16,12 +16,13 @@ error only, at any resolution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
+from ._checks import checked_count, checked_real
 from .cgsolver import CgConfig, CgResult, cg_solve
-from .linalg import DenseMatrix, Vector, dense_to_crs, l2_norm, vec_sub
+from .linalg import CrsMatrix, DenseMatrix, Vector, l2_norm, vec_sub
 
 __all__ = [
     "HeatProblem",
@@ -38,24 +39,6 @@ __all__ = [
 Storage = Literal["dense", "crs"]
 
 
-def _checked_positive_real(value: object, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{label} must be a finite positive real, got {value!r}")
-    return value
-
-
-def _checked_finite_real(value: object, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class HeatProblem:
     """Problem definition: diffusivity, domain, resolution, boundary values."""
@@ -67,15 +50,11 @@ class HeatProblem:
     boundary_right: float = 1.0
 
     def __post_init__(self) -> None:
-        _checked_positive_real(self.gamma, "gamma")
-        _checked_positive_real(self.domain_length, "domain_length")
-        n = self.number_of_cells
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"number_of_cells must be an integer, got {type(n).__name__}")
-        if n < 1:
-            raise ValueError(f"number_of_cells must be >= 1, got {n}")
-        _checked_finite_real(self.boundary_left, "boundary_left")
-        _checked_finite_real(self.boundary_right, "boundary_right")
+        checked_real(self.gamma, "gamma", "positive")
+        checked_real(self.domain_length, "domain_length", "positive")
+        checked_count(self.number_of_cells, "number_of_cells", 1)
+        checked_real(self.boundary_left, "boundary_left")
+        checked_real(self.boundary_right, "boundary_right")
 
 
 @dataclass(frozen=True)
@@ -90,7 +69,7 @@ class StencilCoefficients:
     s_u: float
 
     def __post_init__(self) -> None:
-        _checked_positive_real(self.dx, "dx")
+        checked_real(self.dx, "dx", "positive")
         if not (self.a_w == self.a_e):
             raise ValueError(f"a_w must equal a_e, got {self.a_w!r} and {self.a_e!r}")
         if self.a_p != self.a_w + self.a_e:
@@ -105,16 +84,19 @@ class StencilCoefficients:
 class AssembledSystem:
     """The N x N system A T = b plus the cell center coordinates.
 
-    Construction verifies the structural invariants: the matrix is square,
-    bitwise symmetric, and tridiagonal; rhs and cell_centers have length N.
+    A is stored in compressed-row form (crs). Construction verifies the
+    structural invariants in O(nnz): the matrix is square, symmetric, and
+    tridiagonal; rhs and cell_centers have length N. matrix is a dense view
+    of the same A, derived from crs on first access and then kept; it holds
+    N*N entries, so the sparse solve never asks for it.
     """
 
-    matrix: DenseMatrix
+    crs: CrsMatrix
     rhs: Vector
     cell_centers: Vector
 
     def __post_init__(self) -> None:
-        m = self.matrix
+        m = self.crs
         if m.rows != m.cols:
             raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
         n = m.rows
@@ -124,20 +106,31 @@ class AssembledSystem:
             raise ValueError(
                 f"cell_centers length {len(self.cell_centers)} must equal {n}"
             )
-        entries = m.entries
+        # upper[i] is entry (i, i+1) and lower[i] entry (i+1, i); absent is 0.0
+        upper = [0.0] * n
+        lower = [0.0] * n
+        values, col_indices, row_ptr = m.values, m.col_indices, m.row_ptr
         for i in range(n):
-            for j in range(i + 1, n):
-                upper = entries[i * n + j]
-                lower = entries[j * n + i]
-                if upper != lower:
+            for k in range(row_ptr[i], row_ptr[i + 1]):
+                j = col_indices[k]
+                if j == i + 1:
+                    upper[i] = values[k]
+                elif j == i - 1:
+                    lower[j] = values[k]
+                elif j != i:
                     raise ValueError(
-                        f"matrix must be symmetric: ({i},{j}) == {upper!r} "
-                        f"but ({j},{i}) == {lower!r}"
+                        f"matrix must be tridiagonal: nonzero {values[k]!r} at ({i},{j})"
                     )
-                if j > i + 1 and upper != 0.0:
-                    raise ValueError(
-                        f"matrix must be tridiagonal: nonzero {upper!r} at ({i},{j})"
-                    )
+        for i in range(n - 1):
+            if upper[i] != lower[i]:
+                raise ValueError(
+                    f"matrix must be symmetric: ({i},{i + 1}) == {upper[i]!r} "
+                    f"but ({i + 1},{i}) == {lower[i]!r}"
+                )
+
+    @cached_property
+    def matrix(self) -> DenseMatrix:
+        return self.crs.to_dense()
 
 
 @dataclass(frozen=True)
@@ -167,22 +160,30 @@ def cell_centers(p: HeatProblem) -> Vector:
 
 
 def assemble(p: HeatProblem) -> AssembledSystem:
-    """Build the tridiagonal system; boundary rows accumulate additively."""
+    """Build the 3N-2 tridiagonal entries in CRS form, dropping exact zeros.
+
+    Boundary rows accumulate additively: an N=1 row is a_p + (-s_p - a_w) + (-s_p - a_e).
+    """
     c = stencil_coefficients(p)
     n = p.number_of_cells
-    entries = [0.0] * (n * n)
+    west, east = -c.a_w, -c.a_e
+    diagonal = [c.a_p] * n
+    diagonal[0] += -c.s_p - c.a_w
+    diagonal[n - 1] += -c.s_p - c.a_e
+    values: list[float] = []
+    col_indices: list[int] = []
+    row_ptr = [0]
     for i in range(n):
-        entries[i * n + i] = c.a_p
-    entries[0] += -c.s_p - c.a_w
-    entries[(n - 1) * n + (n - 1)] += -c.s_p - c.a_e
-    for i in range(n - 1):
-        entries[i * n + (i + 1)] = -c.a_e
-        entries[(i + 1) * n + i] = -c.a_w
+        for j, x in ((i - 1, west), (i, diagonal[i]), (i + 1, east)):
+            if 0 <= j < n and x != 0.0:
+                values.append(x)
+                col_indices.append(j)
+        row_ptr.append(len(values))
     rhs = [0.0] * n
     rhs[0] += c.s_u * p.boundary_left
     rhs[n - 1] += c.s_u * p.boundary_right
     return AssembledSystem(
-        matrix=DenseMatrix(n, n, entries),
+        crs=CrsMatrix(n, n, values, col_indices, row_ptr),
         rhs=Vector(rhs),
         cell_centers=cell_centers(p),
     )
@@ -205,7 +206,7 @@ def solve_heat(p: HeatProblem, cfg: CgConfig, storage: Storage = "dense") -> Hea
     if storage not in ("dense", "crs"):
         raise ValueError(f"storage must be 'dense' or 'crs', got {storage!r}")
     system = assemble(p)
-    operator = system.matrix if storage == "dense" else dense_to_crs(system.matrix)
+    operator = system.matrix if storage == "dense" else system.crs
     result = cg_solve(operator, system.rhs, cfg)
     error = l2_norm(vec_sub(result.solution, analytic_solution(p)))
     return HeatSolution(

@@ -11,6 +11,11 @@ Values are immutable: every operation returns a new object and never
 mutates its inputs. Preconditions fail fast with a diagnostic naming the
 offending dimensions; element access never wraps around (no negative
 indexing).
+
+Inputs are checked once, at the public boundary: the Vector, DenseMatrix
+and CrsMatrix constructors check every component. Results of internal
+arithmetic are floats by construction and carry one non-finite check, so
+overflow still raises ValueError; transpose and to_dense check nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from typing import Iterable, Sequence
+
+from ._checks import checked_count, checked_real
 
 __all__ = [
     "Orientation",
@@ -55,28 +62,11 @@ def _checked_components(values: Iterable[float], context: str) -> tuple[float, .
     return tuple(out)
 
 
-def _checked_count(value: object, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{label} must be non-negative, got {value}")
-    return value
-
-
 def _checked_index(value: object, limit: int, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
     if value < 0 or value >= limit:
         raise IndexError(f"{label} {value} out of range [0, {limit})")
-    return value
-
-
-def _checked_scalar(value: object, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
     return value
 
 
@@ -101,6 +91,14 @@ class Vector:
         self._components = _checked_components(components, "Vector")
         self._orientation = orientation
 
+    @classmethod
+    def _trusted(cls, components: tuple[float, ...], orientation: Orientation) -> "Vector":
+        # components are already checked floats: skip the per-component pass
+        self = cls.__new__(cls)
+        self._components = components
+        self._orientation = orientation
+        return self
+
     @property
     def components(self) -> tuple[float, ...]:
         return self._components
@@ -124,7 +122,7 @@ class Vector:
             if self._orientation is Orientation.COLUMN
             else Orientation.COLUMN
         )
-        return Vector(self._components, flipped)
+        return Vector._trusted(self._components, flipped)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
@@ -147,8 +145,8 @@ class DenseMatrix:
     __slots__ = ("_rows", "_cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
-        self._rows = _checked_count(rows, "rows")
-        self._cols = _checked_count(cols, "cols")
+        self._rows = checked_count(rows, "rows")
+        self._cols = checked_count(cols, "cols")
         self._entries = _checked_components(entries, "DenseMatrix")
         expected = self._rows * self._cols
         if len(self._entries) != expected:
@@ -156,6 +154,15 @@ class DenseMatrix:
                 f"DenseMatrix {self._rows}x{self._cols} needs {expected} entries, "
                 f"got {len(self._entries)}"
             )
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[float, ...]) -> "DenseMatrix":
+        # rows * cols already checked floats: skip the per-component pass
+        self = cls.__new__(cls)
+        self._rows = rows
+        self._cols = cols
+        self._entries = entries
+        return self
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[float]]) -> "DenseMatrix":
@@ -227,12 +234,12 @@ class CrsMatrix:
         col_indices: Iterable[int],
         row_ptr: Iterable[int],
     ) -> None:
-        self._rows = _checked_count(rows, "rows")
-        self._cols = _checked_count(cols, "cols")
+        self._rows = checked_count(rows, "rows")
+        self._cols = checked_count(cols, "cols")
         self._values = _checked_components(values, "CrsMatrix values")
-        for k, value in enumerate(self._values):
-            if value == 0.0:
-                raise ValueError(f"CrsMatrix must not store zeros: values[{k}] == 0.0")
+        if 0.0 in self._values:
+            k = self._values.index(0.0)
+            raise ValueError(f"CrsMatrix must not store zeros: values[{k}] == 0.0")
         self._col_indices = tuple(col_indices)
         if len(self._col_indices) != len(self._values):
             raise ValueError(
@@ -302,7 +309,7 @@ class CrsMatrix:
         for r in range(self._rows):
             for k in range(self._row_ptr[r], self._row_ptr[r + 1]):
                 flat[r * self._cols + self._col_indices[k]] = self._values[k]
-        return DenseMatrix(self._rows, self._cols, flat)
+        return DenseMatrix._trusted(self._rows, self._cols, tuple(flat))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrsMatrix):
@@ -327,10 +334,17 @@ class CrsMatrix:
         )
 
 
+def _arithmetic_result(components: list[float], orientation: Orientation, op: str) -> Vector:
+    """Wrap floats computed from checked operands; only overflow can make them non-finite."""
+    if not all(map(math.isfinite, components)):
+        raise ValueError(f"{op}: the result overflowed to a non-finite value")
+    return Vector._trusted(tuple(components), orientation)
+
+
 def vec_scale(s: float, v: Vector) -> Vector:
     """Scale every component; orientation is preserved."""
-    s = _checked_scalar(s, "scale factor")
-    return Vector([s * x for x in v.components], v.orientation)
+    s = float(checked_real(s, "scale factor"))
+    return _arithmetic_result([s * x for x in v.components], v.orientation, "vec_scale")
 
 
 def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
@@ -345,15 +359,15 @@ def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
 
 def vec_add(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_add")
-    return Vector(
-        [x + y for x, y in zip(v1.components, v2.components)], v1.orientation
+    return _arithmetic_result(
+        [x + y for x, y in zip(v1.components, v2.components)], v1.orientation, "vec_add"
     )
 
 
 def vec_sub(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_sub")
-    return Vector(
-        [x - y for x, y in zip(v1.components, v2.components)], v1.orientation
+    return _arithmetic_result(
+        [x - y for x, y in zip(v1.components, v2.components)], v1.orientation, "vec_sub"
     )
 
 
@@ -386,7 +400,7 @@ def l2_norm(v: Vector) -> float:
 
 def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
     """Scale every entry; shape is preserved."""
-    s = _checked_scalar(s, "scale factor")
+    s = checked_real(s, "scale factor")
     return DenseMatrix(m.rows, m.cols, [s * x for x in m.entries])
 
 
@@ -415,7 +429,7 @@ def matvec(m: DenseMatrix, v: Vector) -> Vector:
         for col in range(cols):
             acc += entries[base + col] * comps[col]
         out.append(acc)
-    return Vector(out, Orientation.COLUMN)
+    return _arithmetic_result(out, Orientation.COLUMN, "matvec")
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
@@ -454,4 +468,4 @@ def crs_matvec(m: CrsMatrix, v: Vector) -> Vector:
         for k in range(row_ptr[row], row_ptr[row + 1]):
             acc += values[k] * comps[col_indices[k]]
         out.append(acc)
-    return Vector(out, Orientation.COLUMN)
+    return _arithmetic_result(out, Orientation.COLUMN, "crs_matvec")

@@ -16,12 +16,13 @@ would avoid this but is intentionally not provided here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
+
+from ._checks import checked_real
 
 __all__ = [
     "Precision",
@@ -56,15 +57,7 @@ class FloatCompareSpec:
     precision_kind: Precision = Precision.DOUBLE
 
     def __post_init__(self) -> None:
-        tol = self.tolerance_multiplier
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise TypeError(
-                f"tolerance_multiplier must be a positive real, got {type(tol).__name__}"
-            )
-        if not math.isfinite(tol) or tol <= 0:
-            raise ValueError(
-                f"tolerance_multiplier must be a finite positive real, got {tol!r}"
-            )
+        checked_real(self.tolerance_multiplier, "tolerance_multiplier", "positive")
         if not isinstance(self.precision_kind, Precision):
             raise TypeError(
                 f"precision_kind must be a Precision, got {type(self.precision_kind).__name__}"
@@ -80,9 +73,7 @@ def _require_float(value: object, label: str) -> float:
     # comparison is not defined for integers or other non-float kinds
     if not isinstance(value, float):
         raise TypeError(f"{label} must be a float, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    return value
+    return checked_real(value, label)
 
 
 def _approx_eq_single(a: float, b: float, tolerance: float) -> bool:
@@ -117,14 +108,6 @@ def approx_eq(a: float, b: float, spec: FloatCompareSpec = FloatCompareSpec()) -
     return difference <= largest * _EPSILON[Precision.DOUBLE] * spec.tolerance_multiplier
 
 
-def _require_component(value: object, label: str) -> Real:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ComplexNumber:
     """Immutable complex value with exact componentwise addition."""
@@ -133,8 +116,8 @@ class ComplexNumber:
     imaginary_part: Real
 
     def __post_init__(self) -> None:
-        _require_component(self.real_part, "real_part")
-        _require_component(self.imaginary_part, "imaginary_part")
+        checked_real(self.real_part, "real_part")
+        checked_real(self.imaginary_part, "imaginary_part")
 
     def __add__(self, other: "ComplexNumber") -> "ComplexNumber":
         if not isinstance(other, ComplexNumber):

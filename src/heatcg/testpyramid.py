@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
+
+from ._checks import checked_real
 
 __all__ = [
     "Layer",
@@ -99,15 +100,8 @@ class TestRecord:
             raise ValueError("name must be non-empty")
         if "\n" in self.name or "\r" in self.name:
             raise ValueError(f"name must not contain line breaks: {self.name!r}")
-        duration = self.duration_ms
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-            raise TypeError(
-                f"duration_ms must be a real number, got {type(duration).__name__}"
-            )
-        duration = float(duration)
-        if not math.isfinite(duration) or duration < 0:
-            raise ValueError(f"duration_ms must be finite and >= 0, got {duration!r}")
-        object.__setattr__(self, "duration_ms", duration)
+        duration = checked_real(self.duration_ms, "duration_ms", "non-negative")
+        object.__setattr__(self, "duration_ms", float(duration))
 
 
 @dataclass(frozen=True)
@@ -186,14 +180,7 @@ def pyramid_report(
     unit_budget_ms: float = DEFAULT_UNIT_BUDGET_MS,
 ) -> PyramidReport:
     """Aggregate counts and audit the shape and the unit duration budget."""
-    if isinstance(unit_budget_ms, bool) or not isinstance(unit_budget_ms, (int, float)):
-        raise TypeError(
-            f"unit_budget_ms must be a real number, got {type(unit_budget_ms).__name__}"
-        )
-    if not math.isfinite(unit_budget_ms) or unit_budget_ms <= 0:
-        raise ValueError(
-            f"unit_budget_ms must be a finite positive real, got {unit_budget_ms!r}"
-        )
+    checked_real(unit_budget_ms, "unit_budget_ms", "positive")
     layer_counts = {layer: 0 for layer in Layer}
     status_counts = {status: 0 for status in TestStatus}
     slow: list[str] = []
