@@ -4,9 +4,12 @@ The update rules are the classical ones: starting from r0 = d0 = b - A x0,
 each step computes alpha = (dT r)/(dT A d), advances the iterate, updates
 the residual by the recurrence r' = r - alpha A d (never recomputed as
 b - A x), forms beta = (r'T r')/(rT r) and the next direction d' = r' +
-beta d. A d is computed exactly once per step. Convergence means the
-absolute residual L2 norm is at or below the tolerance, checked after
-initialization and after every step.
+beta d. A d is computed exactly once per step, and a step runs three
+reductions (dT r, dT A d, r'T r'): the state carries rT r, so neither
+the next step nor the residual norm sqrt(rT r), which is bitwise
+l2_norm(r), computes it again. Convergence means the absolute residual L2
+norm is at or below the tolerance, checked after initialization and after
+every step.
 
 The operator may be a DenseMatrix, a CrsMatrix, or any callable mapping a
 column Vector to a column Vector. Dense and compressed-row operators for
@@ -15,6 +18,7 @@ the same matrix yield bitwise identical iterates (see linalg).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -26,7 +30,6 @@ from .linalg import (
     Vector,
     crs_matvec,
     dot,
-    l2_norm,
     matvec,
     vec_add,
     vec_scale,
@@ -93,7 +96,11 @@ class CgConfig:
 
 @dataclass(frozen=True)
 class CgState:
-    """One iteration's full state: iterate, residual, direction, scalars."""
+    """One iteration's full state: iterate, residual, direction, scalars.
+
+    r_dot_r is rT r. It is computed from r when omitted; a caller that
+    passes it must pass that value bit for bit.
+    """
 
     phi: Vector
     r: Vector
@@ -101,6 +108,7 @@ class CgState:
     alpha: float
     beta: float
     n: int
+    r_dot_r: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require_column(self.phi, "phi")
@@ -112,6 +120,8 @@ class CgState:
                 f"{len(self.phi)}, {len(self.r)}, {len(self.d)}"
             )
         checked_count(self.n, "n")
+        if self.r_dot_r is None:
+            object.__setattr__(self, "r_dot_r", dot(self.r.transpose(), self.r))
 
 
 @dataclass(frozen=True)
@@ -160,16 +170,17 @@ def cg_step(state: CgState, operator: OperatorLike) -> CgState:
         )
     alpha = d_dot_r / d_dot_ad
     phi_next = vec_add(state.phi, vec_scale(alpha, state.d))
-    r_dot_r = dot(state.r.transpose(), state.r)
-    if r_dot_r == 0.0:
+    if state.r_dot_r == 0.0:
         raise CgBreakdownError(
             f"rT r is exactly zero at iteration {state.n}; residual already vanished"
         )
     r_next = vec_sub(state.r, vec_scale(alpha, ad))
-    beta = dot(r_next.transpose(), r_next) / r_dot_r
+    r_dot_r_next = dot(r_next.transpose(), r_next)
+    beta = r_dot_r_next / state.r_dot_r
     d_next = vec_add(r_next, vec_scale(beta, state.d))
     return CgState(
-        phi=phi_next, r=r_next, d=d_next, alpha=alpha, beta=beta, n=state.n + 1
+        phi=phi_next, r=r_next, d=d_next, alpha=alpha, beta=beta, n=state.n + 1,
+        r_dot_r=r_dot_r_next,
     )
 
 
@@ -189,7 +200,7 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     else:
         x0 = Vector([0.0] * len(b))
     state = cg_init(apply_a, b, x0)
-    residual_norm = l2_norm(state.r)
+    residual_norm = math.sqrt(state.r_dot_r)
     breakdown = False
     while residual_norm > config.tolerance and state.n < config.max_iterations:
         try:
@@ -197,7 +208,7 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
         except CgBreakdownError:
             breakdown = True
             break
-        residual_norm = l2_norm(state.r)
+        residual_norm = math.sqrt(state.r_dot_r)
     return CgResult(
         solution=state.phi,
         iterations=state.n,

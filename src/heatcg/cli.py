@@ -3,9 +3,9 @@
 Data goes to standard output (solve: CSV temperature profile; verify: the
 error norm; pyramid: the report), diagnostics go to standard error. Exit
 codes: 0 success, 1 failed check (non-convergence, error above threshold,
-failing or slow tests), 2 invalid options, unreadable/malformed input, or
-a problem whose assembly or solve overflows binary64, 3 pyramid ordering
-violation.
+failing or slow tests), 2 invalid options, unreadable/malformed input, an
+unwritable --out file, or a problem whose assembly or solve overflows
+binary64, 3 pyramid ordering violation.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -124,8 +124,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     xs = cell_centers(problem).components
     temps = solution.temperature.components
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as stream:
-            _write_profile(stream, xs, temps)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as stream:
+                _write_profile(stream, xs, temps)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         _write_profile(sys.stdout, xs, temps)
     cg = solution.cg

@@ -1,11 +1,29 @@
 """Minimal dense and sparse linear algebra with pinned accumulation order.
 
-All reductions (dot products, matrix-vector rows) accumulate strictly
-left to right in index order, and the sparse matrix-vector product visits
-stored entries in increasing column order. Because the orders match, the
-dense and compressed-row paths produce bitwise identical results for the
-same matrix; several tests and the solver rely on that contract, so do
-not "optimize" the loops into library reductions with unspecified order.
+Vectors and matrices keep their components in numpy float64 arrays, and
+every kernel is a numpy expression whose summation order is pinned:
+
+- Elementwise +, - and * are exact per element, so vec_scale, vec_add
+  and vec_sub cannot depend on any order.
+- Every reduction (dot, l2_norm, a row of the dense product) is a running
+  sum, np.cumsum(terms)[-1] + 0.0. cumsum is add.accumulate: each prefix
+  is an output, formed from the previous one, so the terms are added left
+  to right in index order. The "+ 0.0" reproduces a loop that starts at
+  +0.0: cumsum([-0.0, -0.0])[-1] is -0.0 where the loop gives 0.0, and
+  adding +0.0 changes no other value.
+- The sparse product sweeps position k of every row at once,
+  acc[rows_k] += vals_k * x[cols_k], so each row adds its stored entries
+  in increasing column order to an accumulator that starts at +0.0.
+
+A partial sum that starts at +0.0 never becomes -0.0 under round to
+nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
+the dense and compressed-row paths produce bitwise identical results for
+the same matrix. Several tests and the solver rely on that contract, so
+np.dot, np.sum, add.reduce and the @ operator stay banned: their order is
+unspecified (pairwise, blocked or BLAS), and np.dot disagrees with the
+left-to-right loop on most random vectors. cumsum's order is an
+implementation property rather than a documented numpy guarantee; a test
+pins it against a pure-Python loop on the installed numpy.
 
 Values are immutable: every operation returns a new object and never
 mutates its inputs. Preconditions fail fast with a diagnostic naming the
@@ -14,15 +32,19 @@ indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
 and CrsMatrix constructors check every component. Results of internal
-arithmetic are floats by construction and carry one non-finite check, so
-overflow still raises ValueError; transpose and to_dense check nothing.
+arithmetic carry one non-finite check, so overflow still raises
+ValueError, and numpy's floating-point warnings are silenced inside the
+kernels so that the ValueError is the only report; transpose and to_dense
+check nothing.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from ._checks import checked_count, checked_real
 
@@ -41,6 +63,10 @@ __all__ = [
     "dense_to_crs",
     "crs_matvec",
 ]
+
+# Kernels run under this decorator: overflow becomes inf (and inf - inf nan)
+# without a RuntimeWarning, and the result's non-finite check reports it.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class Orientation(Enum):
@@ -77,7 +103,11 @@ class Vector:
     orientation without touching the components.
     """
 
-    __slots__ = ("_components", "_orientation")
+    # _array holds the components; _tuple is the checked tuple a public
+    # constructor built, or None for results of arithmetic, whose components
+    # are converted on each read: a kept tuple of float objects would cost
+    # 32 bytes a component on top of the array's 8, and callers keep results.
+    __slots__ = ("_array", "_tuple", "_orientation")
 
     def __init__(
         self,
@@ -88,33 +118,42 @@ class Vector:
             raise TypeError(
                 f"orientation must be an Orientation, got {type(orientation).__name__}"
             )
-        self._components = _checked_components(components, "Vector")
+        self._tuple = _checked_components(components, "Vector")
+        self._array = np.array(self._tuple, dtype=np.float64)
         self._orientation = orientation
 
     @classmethod
-    def _trusted(cls, components: tuple[float, ...], orientation: Orientation) -> "Vector":
-        # components are already checked floats: skip the per-component pass
+    def _trusted(
+        cls,
+        array: np.ndarray,
+        orientation: Orientation,
+        components: Optional[tuple[float, ...]] = None,
+    ) -> "Vector":
+        # array holds finite float64 values no caller can reach: skip the checks
         self = cls.__new__(cls)
-        self._components = components
+        self._array = array
+        self._tuple = components
         self._orientation = orientation
         return self
 
     @property
     def components(self) -> tuple[float, ...]:
-        return self._components
+        if self._tuple is None:
+            return tuple(self._array.tolist())
+        return self._tuple
 
     @property
     def orientation(self) -> Orientation:
         return self._orientation
 
     def __len__(self) -> int:
-        return len(self._components)
+        return len(self._array)
 
     def __iter__(self):
-        return iter(self._components)
+        return iter(self.components)
 
     def __getitem__(self, index: int) -> float:
-        return self._components[_checked_index(index, len(self._components), "vector index")]
+        return self._array.item(_checked_index(index, len(self._array), "vector index"))
 
     def transpose(self) -> "Vector":
         flipped = (
@@ -122,27 +161,29 @@ class Vector:
             if self._orientation is Orientation.COLUMN
             else Orientation.COLUMN
         )
-        return Vector._trusted(self._components, flipped)
+        return Vector._trusted(self._array, flipped, self._tuple)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
         return (
-            self._components == other._components
+            np.array_equal(self._array, other._array)
             and self._orientation is other._orientation
         )
 
     def __hash__(self) -> int:
-        return hash((self._components, self._orientation))
+        return hash((self.components, self._orientation))
 
     def __repr__(self) -> str:
-        return f"Vector({list(self._components)!r}, {self._orientation})"
+        return f"Vector({list(self.components)!r}, {self._orientation})"
 
 
 class DenseMatrix:
-    """Immutable dense matrix stored row-major as a flat tuple."""
+    """Immutable dense matrix, a rows x cols float64 array read row-major."""
 
-    __slots__ = ("_rows", "_cols", "_entries")
+    # _entries is the checked tuple a public constructor built, or None for a
+    # matrix derived by to_dense, whose entries are converted on each read.
+    __slots__ = ("_rows", "_cols", "_entries", "_grid")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
         self._rows = checked_count(rows, "rows")
@@ -154,14 +195,16 @@ class DenseMatrix:
                 f"DenseMatrix {self._rows}x{self._cols} needs {expected} entries, "
                 f"got {len(self._entries)}"
             )
+        self._grid = np.array(self._entries, dtype=np.float64).reshape(self._rows, self._cols)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple[float, ...]) -> "DenseMatrix":
-        # rows * cols already checked floats: skip the per-component pass
+    def _trusted(cls, rows: int, cols: int, grid: np.ndarray) -> "DenseMatrix":
+        # grid holds rows x cols finite float64 values: skip the per-component pass
         self = cls.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._entries = entries
+        self._entries = None
+        self._grid = grid
         return self
 
     @classmethod
@@ -187,18 +230,17 @@ class DenseMatrix:
 
     @property
     def entries(self) -> tuple[float, ...]:
+        if self._entries is None:
+            return tuple(self._grid.ravel().tolist())
         return self._entries
 
     def at(self, row: int, col: int) -> float:
         r = _checked_index(row, self._rows, "row index")
         c = _checked_index(col, self._cols, "column index")
-        return self._entries[r * self._cols + c]
+        return self._grid.item(r, c)
 
     def to_rows(self) -> list[list[float]]:
-        return [
-            list(self._entries[r * self._cols : (r + 1) * self._cols])
-            for r in range(self._rows)
-        ]
+        return self._grid.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseMatrix):
@@ -206,14 +248,14 @@ class DenseMatrix:
         return (
             self._rows == other._rows
             and self._cols == other._cols
-            and self._entries == other._entries
+            and np.array_equal(self._grid, other._grid)
         )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._entries))
+        return hash((self._rows, self._cols, self.entries))
 
     def __repr__(self) -> str:
-        return f"DenseMatrix({self._rows}, {self._cols}, {list(self._entries)!r})"
+        return f"DenseMatrix({self._rows}, {self._cols}, {list(self.entries)!r})"
 
 
 class CrsMatrix:
@@ -224,7 +266,7 @@ class CrsMatrix:
     and strictly increasing within each row; no stored value is zero.
     """
 
-    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr")
+    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_sweep")
 
     def __init__(
         self,
@@ -280,6 +322,7 @@ class CrsMatrix:
                         f"col_indices must be strictly increasing within row {k}: "
                         f"{self._col_indices[j - 1]} then {self._col_indices[j]}"
                     )
+        self._sweep = _position_sweep(self._values, self._col_indices, self._row_ptr)
 
     @property
     def rows(self) -> int:
@@ -305,11 +348,10 @@ class CrsMatrix:
         return len(self._values)
 
     def to_dense(self) -> DenseMatrix:
-        flat = [0.0] * (self._rows * self._cols)
-        for r in range(self._rows):
-            for k in range(self._row_ptr[r], self._row_ptr[r + 1]):
-                flat[r * self._cols + self._col_indices[k]] = self._values[k]
-        return DenseMatrix._trusted(self._rows, self._cols, tuple(flat))
+        grid = np.zeros((self._rows, self._cols))
+        rows = np.repeat(np.arange(self._rows), np.diff(self._row_ptr))
+        grid[rows, np.array(self._col_indices, dtype=np.intp)] = self._values
+        return DenseMatrix._trusted(self._rows, self._cols, grid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrsMatrix):
@@ -334,17 +376,46 @@ class CrsMatrix:
         )
 
 
-def _arithmetic_result(components: list[float], orientation: Orientation, op: str) -> Vector:
-    """Wrap floats computed from checked operands; only overflow can make them non-finite."""
-    if not all(map(math.isfinite, components)):
+def _position_sweep(
+    values: tuple[float, ...], col_indices: tuple[int, ...], row_ptr: tuple[int, ...]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per stored position k: the rows with more than k entries, and their k-th value and column.
+
+    Together the positions hold each stored entry once, so the sweep takes
+    O(nnz) memory; one product costs one numpy pass per position, that is,
+    per entry of the longest row.
+    """
+    ptr = np.array(row_ptr, dtype=np.intp)
+    lengths = np.diff(ptr)
+    all_values = np.array(values, dtype=np.float64)
+    all_cols = np.array(col_indices, dtype=np.intp)
+    sweep = []
+    for k in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > k)
+        at = ptr[rows] + k
+        sweep.append((rows, all_values[at], all_cols[at]))
+    return tuple(sweep)
+
+
+def _arithmetic_result(array: np.ndarray, orientation: Orientation, op: str) -> Vector:
+    """Wrap values computed from checked operands; only overflow can make them non-finite."""
+    if not np.isfinite(array).all():
         raise ValueError(f"{op}: the result overflowed to a non-finite value")
-    return Vector._trusted(tuple(components), orientation)
+    return Vector._trusted(array, orientation)
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum from +0.0; bitwise `acc = 0.0; for t in terms: acc += t`."""
+    if not len(terms):
+        return 0.0
+    return float(np.cumsum(terms)[-1]) + 0.0
+
+
+@_quiet
 def vec_scale(s: float, v: Vector) -> Vector:
     """Scale every component; orientation is preserved."""
     s = float(checked_real(s, "scale factor"))
-    return _arithmetic_result([s * x for x in v.components], v.orientation, "vec_scale")
+    return _arithmetic_result(s * v._array, v.orientation, "vec_scale")
 
 
 def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
@@ -357,20 +428,19 @@ def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
         )
 
 
+@_quiet
 def vec_add(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_add")
-    return _arithmetic_result(
-        [x + y for x, y in zip(v1.components, v2.components)], v1.orientation, "vec_add"
-    )
+    return _arithmetic_result(v1._array + v2._array, v1.orientation, "vec_add")
 
 
+@_quiet
 def vec_sub(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_sub")
-    return _arithmetic_result(
-        [x - y for x, y in zip(v1.components, v2.components)], v1.orientation, "vec_sub"
-    )
+    return _arithmetic_result(v1._array - v2._array, v1.orientation, "vec_sub")
 
 
+@_quiet
 def dot(v1: Vector, v2: Vector) -> float:
     """Row times column inner product, accumulated left to right."""
     if v1.orientation is not Orientation.ROW:
@@ -384,18 +454,13 @@ def dot(v1: Vector, v2: Vector) -> float:
         )
     if len(v1) != len(v2):
         raise ValueError(f"dot: vector lengths must match, got {len(v1)} and {len(v2)}")
-    acc = 0.0
-    for x, y in zip(v1.components, v2.components):
-        acc += x * y
-    return acc
+    return _running_sum(v1._array * v2._array)
 
 
+@_quiet
 def l2_norm(v: Vector) -> float:
     """Euclidean norm; bitwise equal to sqrt(dot(v.transpose(), v))."""
-    acc = 0.0
-    for x in v.components:
-        acc += x * x
-    return math.sqrt(acc)
+    return math.sqrt(_running_sum(v._array * v._array))
 
 
 def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
@@ -416,56 +481,41 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
+@_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
     _require_column_operand(m.cols, v)
-    comps = v.components
-    entries = m.entries
-    cols = m.cols
-    out = []
-    for row in range(m.rows):
-        base = row * cols
-        acc = 0.0
-        for col in range(cols):
-            acc += entries[base + col] * comps[col]
-        out.append(acc)
+    if m.cols:
+        terms = m._grid * v._array
+        # in place: a second rows x cols buffer roughly doubles the time at N = 200
+        np.cumsum(terms, axis=1, out=terms)
+        out = terms[:, -1] + 0.0
+    else:
+        out = np.zeros(m.rows)
     return _arithmetic_result(out, Orientation.COLUMN, "matvec")
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     """Compress a dense matrix, dropping entries that are exactly zero."""
-    values: list[float] = []
-    col_indices: list[int] = []
-    row_ptr = [0]
-    entries = m.entries
-    cols = m.cols
-    for row in range(m.rows):
-        base = row * cols
-        for col in range(cols):
-            x = entries[base + col]
-            if x != 0.0:
-                values.append(x)
-                col_indices.append(col)
-        row_ptr.append(len(values))
-    return CrsMatrix(m.rows, m.cols, values, col_indices, row_ptr)
+    rows, cols = np.nonzero(m._grid)  # row-major order; -0.0 counts as zero
+    row_ptr = np.zeros(m.rows + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(m._grid, axis=1), out=row_ptr[1:])
+    return CrsMatrix(
+        m.rows, m.cols, m._grid[rows, cols].tolist(), cols.tolist(), row_ptr.tolist()
+    )
 
 
+@_quiet
 def crs_matvec(m: CrsMatrix, v: Vector) -> Vector:
     """Sparse matrix times column vector; bitwise equal to the dense path.
 
-    Stored entries are visited in increasing column order, the same order
+    Each row adds its stored entries in increasing column order, the order
     the dense kernel uses, and skipping exact zeros cannot change any
     partial sum, so results match matvec(m.to_dense(), v) bit for bit.
     """
     _require_column_operand(m.cols, v)
-    comps = v.components
-    values = m.values
-    col_indices = m.col_indices
-    row_ptr = m.row_ptr
-    out = []
-    for row in range(m.rows):
-        acc = 0.0
-        for k in range(row_ptr[row], row_ptr[row + 1]):
-            acc += values[k] * comps[col_indices[k]]
-        out.append(acc)
-    return _arithmetic_result(out, Orientation.COLUMN, "crs_matvec")
+    x = v._array
+    acc = np.zeros(m.rows)
+    for rows, values, cols in m._sweep:
+        acc[rows] += values * x[cols]
+    return _arithmetic_result(acc, Orientation.COLUMN, "crs_matvec")

@@ -4,7 +4,10 @@ The comparison is relative: two values are considered equal when their
 difference does not exceed the larger magnitude scaled by machine epsilon
 times a tolerance multiplier. Both binary32 and binary64 arithmetic are
 supported; the binary32 path rounds the inputs to single precision and
-performs every intermediate step in single precision.
+performs every intermediate step in single precision. numpy supplies that
+binary32 arithmetic here; it is not this module's alone, since linalg
+keeps every vector and matrix in float64 arrays and runs its kernels in
+numpy.
 
 Caveat: when exactly one argument is zero the threshold collapses to
 eps * tolerance * |other|, which is smaller than |other| for any sane
