@@ -4,109 +4,25 @@ Vectors and matrices (dense and compressed-row) with pinned accumulation
 order, a conjugate gradient solver, a finite volume discretization of the
 steady 1D heat equation verified against its analytic solution, and a
 test-pyramid manifest auditor, all behind a single CLI (``heatcg``).
+
+Each module's ``__all__`` is its public API; the package re-exports every
+one of those names, so a name is declared public in one place only.
 """
 
-from .cgsolver import (
-    CgBreakdownError,
-    CgConfig,
-    CgResult,
-    CgState,
-    cg_init,
-    cg_solve,
-    cg_step,
-)
-from .heat1d import (
-    AssembledSystem,
-    HeatProblem,
-    HeatSolution,
-    StencilCoefficients,
-    analytic_solution,
-    assemble,
-    cell_centers,
-    solve_heat,
-    stencil_coefficients,
-)
-from .linalg import (
-    CrsMatrix,
-    DenseMatrix,
-    Orientation,
-    Vector,
-    crs_matvec,
-    dense_to_crs,
-    dot,
-    l2_norm,
-    mat_scale,
-    matvec,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
-from .numkit import (
-    ComplexNumber,
-    FloatCompareSpec,
-    Precision,
-    approx_eq,
-    complex_add,
-)
-from .testpyramid import (
-    DEFAULT_UNIT_BUDGET_MS,
-    Layer,
-    ManifestError,
-    PyramidReport,
-    TestRecord,
-    TestStatus,
-    parse_manifest,
-    pyramid_report,
-    render_manifest,
-    render_report,
-)
+from . import cgsolver, heat1d, linalg, numkit, testpyramid
+from .cgsolver import *  # noqa: F401,F403
+from .heat1d import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .numkit import *  # noqa: F401,F403
+from .testpyramid import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Precision",
-    "FloatCompareSpec",
-    "ComplexNumber",
-    "approx_eq",
-    "complex_add",
-    "Orientation",
-    "Vector",
-    "DenseMatrix",
-    "CrsMatrix",
-    "vec_scale",
-    "vec_add",
-    "vec_sub",
-    "dot",
-    "l2_norm",
-    "mat_scale",
-    "matvec",
-    "dense_to_crs",
-    "crs_matvec",
-    "CgBreakdownError",
-    "CgConfig",
-    "CgState",
-    "CgResult",
-    "cg_init",
-    "cg_step",
-    "cg_solve",
-    "HeatProblem",
-    "StencilCoefficients",
-    "AssembledSystem",
-    "HeatSolution",
-    "stencil_coefficients",
-    "cell_centers",
-    "assemble",
-    "analytic_solution",
-    "solve_heat",
-    "Layer",
-    "TestStatus",
-    "TestRecord",
-    "PyramidReport",
-    "ManifestError",
-    "DEFAULT_UNIT_BUDGET_MS",
-    "parse_manifest",
-    "render_manifest",
-    "pyramid_report",
-    "render_report",
+    *numkit.__all__,
+    *linalg.__all__,
+    *cgsolver.__all__,
+    *heat1d.__all__,
+    *testpyramid.__all__,
     "__version__",
 ]

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from ._checks import checked_count, checked_real
 from .linalg import (
     CrsMatrix,
@@ -198,7 +200,7 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     if config.initial_guess is not None:
         x0 = config.initial_guess
     else:
-        x0 = Vector([0.0] * len(b))
+        x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
     state = cg_init(apply_a, b, x0)
     residual_norm = math.sqrt(state.r_dot_r)
     breakdown = False

@@ -14,10 +14,10 @@ binary64 exactly, so identical options produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import IO, Optional, Sequence
 
+from ._checks import checked_real
 from .cgsolver import CgConfig
 from .heat1d import HeatProblem, HeatSolution, cell_centers, solve_heat
 from .testpyramid import (
@@ -35,6 +35,14 @@ __all__ = ["build_parser", "main"]
 
 def _fmt(value: float) -> str:
     return "%.17g" % value
+
+
+def _positive_real(text: str) -> float:
+    """argparse type for a finite positive real; a bad value exits 2 with usage."""
+    try:
+        return checked_real(float(text), "value", "positive")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_solve_options(sub: argparse.ArgumentParser) -> None:
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_solve_options(verify)
     verify.add_argument(
-        "--threshold", type=float, default=1e-8,
+        "--threshold", type=_positive_real, default=1e-8,
         help="acceptance bound on the L2 error (default 1e-8)",
     )
     verify.set_defaults(func=cmd_verify, subparser=verify)
@@ -79,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pyramid.add_argument("manifest", help="path to a layer,name,duration_ms,status CSV")
     pyramid.add_argument(
-        "--unit-budget-ms", type=float, default=DEFAULT_UNIT_BUDGET_MS,
+        "--unit-budget-ms", type=_positive_real, default=DEFAULT_UNIT_BUDGET_MS,
         help=f"duration budget for unit tests (default {DEFAULT_UNIT_BUDGET_MS:g})",
     )
     pyramid.set_defaults(func=cmd_pyramid, subparser=pyramid)
@@ -148,9 +156,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     problem, config = _heat_inputs(args)
-    threshold = args.threshold
-    if not math.isfinite(threshold) or threshold <= 0:
-        args.subparser.error(f"--threshold must be a finite positive real, got {threshold!r}")
     solution = _solve(problem, config, args.storage)
     if solution is None:
         return 2
@@ -160,13 +165,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"cells={problem.number_of_cells} converged={cg.converged} "
         f"iterations={cg.iterations} residual_norm={_fmt(cg.residual_norm)} "
-        f"l2_error_vs_analytic={_fmt(error)} threshold={_fmt(threshold)}",
+        f"l2_error_vs_analytic={_fmt(error)} threshold={_fmt(args.threshold)}",
         file=sys.stderr,
     )
     if not cg.converged:
         print("verify: FAILED (solver did not converge)", file=sys.stderr)
         return 1
-    if not error < threshold:
+    if not error < args.threshold:
         print("verify: FAILED (error at or above threshold)", file=sys.stderr)
         return 1
     print("verify: OK", file=sys.stderr)
@@ -174,9 +179,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_pyramid(args: argparse.Namespace) -> int:
-    budget = args.unit_budget_ms
-    if not math.isfinite(budget) or budget <= 0:
-        args.subparser.error(f"--unit-budget-ms must be a finite positive real, got {budget!r}")
     try:
         with open(args.manifest, "r", encoding="utf-8") as stream:
             text = stream.read()
@@ -188,7 +190,7 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = pyramid_report(records, unit_budget_ms=budget)
+    report = pyramid_report(records, unit_budget_ms=args.unit_budget_ms)
     sys.stdout.write(render_report(report))
     if not report.pyramid_ok:
         counts = report.layer_counts

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
+import numpy as np
+
 from ._checks import checked_count, checked_real
 from .cgsolver import CgConfig, CgResult, cg_solve
-from .linalg import CrsMatrix, DenseMatrix, Vector, l2_norm, vec_sub
+from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
+from .linalg import _finite
 
 __all__ = [
     "HeatProblem",
@@ -156,7 +159,9 @@ def stencil_coefficients(p: HeatProblem) -> StencilCoefficients:
 def cell_centers(p: HeatProblem) -> Vector:
     """x_i = i*dx + dx/2 for i in [0, N)."""
     dx = p.domain_length / p.number_of_cells
-    return Vector([i * dx + dx / 2.0 for i in range(p.number_of_cells)])
+    centers = [i * dx + dx / 2.0 for i in range(p.number_of_cells)]
+    # every x_i lies in [0, L], so none can overflow
+    return Vector._trusted(np.array(centers), Orientation.COLUMN)
 
 
 def assemble(p: HeatProblem) -> AssembledSystem:
@@ -182,9 +187,10 @@ def assemble(p: HeatProblem) -> AssembledSystem:
     rhs = [0.0] * n
     rhs[0] += c.s_u * p.boundary_left
     rhs[n - 1] += c.s_u * p.boundary_right
+    _finite(np.array(values + rhs), "assemble")
     return AssembledSystem(
-        crs=CrsMatrix(n, n, values, col_indices, row_ptr),
-        rhs=Vector(rhs),
+        crs=CrsMatrix._trusted(n, n, values, col_indices, row_ptr),
+        rhs=Vector._trusted(np.array(rhs), Orientation.COLUMN),
         cell_centers=cell_centers(p),
     )
 
@@ -194,7 +200,8 @@ def analytic_solution(p: HeatProblem) -> Vector:
     t_l = p.boundary_left
     span = p.boundary_right - p.boundary_left
     length = p.domain_length
-    return Vector([t_l + span * x / length for x in cell_centers(p)])
+    profile = np.array([t_l + span * x / length for x in cell_centers(p)])
+    return Vector._trusted(_finite(profile, "analytic_solution"), Orientation.COLUMN)
 
 
 def solve_heat(p: HeatProblem, cfg: CgConfig, storage: Storage = "dense") -> HeatSolution:

@@ -31,11 +31,13 @@ offending dimensions; element access never wraps around (no negative
 indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
-and CrsMatrix constructors check every component. Results of internal
-arithmetic carry one non-finite check, so overflow still raises
-ValueError, and numpy's floating-point warnings are silenced inside the
-kernels so that the ValueError is the only report; transpose and to_dense
-check nothing.
+and CrsMatrix constructors check every component. Values heatcg computes
+itself go through the trusted constructors (_trusted) instead. Results of
+arithmetic (the vector kernels, matvec, crs_matvec, mat_scale, heat1d's
+assemble and analytic profile) carry one non-finite check, so overflow
+still raises ValueError; transpose, to_dense and dense_to_crs only
+rearrange checked values and check nothing. numpy's floating-point
+warnings are silenced inside the kernels so that ValueError is the report.
 """
 
 from __future__ import annotations
@@ -181,21 +183,19 @@ class Vector:
 class DenseMatrix:
     """Immutable dense matrix, a rows x cols float64 array read row-major."""
 
-    # _entries is the checked tuple a public constructor built, or None for a
-    # matrix derived by to_dense, whose entries are converted on each read.
-    __slots__ = ("_rows", "_cols", "_entries", "_grid")
+    __slots__ = ("_rows", "_cols", "_grid")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
         self._rows = checked_count(rows, "rows")
         self._cols = checked_count(cols, "cols")
-        self._entries = _checked_components(entries, "DenseMatrix")
+        checked = _checked_components(entries, "DenseMatrix")
         expected = self._rows * self._cols
-        if len(self._entries) != expected:
+        if len(checked) != expected:
             raise ValueError(
                 f"DenseMatrix {self._rows}x{self._cols} needs {expected} entries, "
-                f"got {len(self._entries)}"
+                f"got {len(checked)}"
             )
-        self._grid = np.array(self._entries, dtype=np.float64).reshape(self._rows, self._cols)
+        self._grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, grid: np.ndarray) -> "DenseMatrix":
@@ -203,7 +203,6 @@ class DenseMatrix:
         self = cls.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._entries = None
         self._grid = grid
         return self
 
@@ -230,9 +229,7 @@ class DenseMatrix:
 
     @property
     def entries(self) -> tuple[float, ...]:
-        if self._entries is None:
-            return tuple(self._grid.ravel().tolist())
-        return self._entries
+        return tuple(self._grid.ravel().tolist())
 
     def at(self, row: int, col: int) -> float:
         r = _checked_index(row, self._rows, "row index")
@@ -289,9 +286,7 @@ class CrsMatrix:
                 f"values length {len(self._values)}"
             )
         for k, c in enumerate(self._col_indices):
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError(f"col_indices[{k}] must be an integer, got {type(c).__name__}")
-            if c < 0 or c >= self._cols:
+            if checked_count(c, f"col_indices[{k}]") >= self._cols:
                 raise ValueError(
                     f"col_indices[{k}] == {c} out of range [0, {self._cols})"
                 )
@@ -301,8 +296,7 @@ class CrsMatrix:
                 f"row_ptr length {len(self._row_ptr)} must be rows + 1 == {self._rows + 1}"
             )
         for k, p in enumerate(self._row_ptr):
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise TypeError(f"row_ptr[{k}] must be an integer, got {type(p).__name__}")
+            checked_count(p, f"row_ptr[{k}]")
         if self._row_ptr[0] != 0:
             raise ValueError(f"row_ptr[0] must be 0, got {self._row_ptr[0]}")
         if self._row_ptr[-1] != len(self._values):
@@ -323,6 +317,25 @@ class CrsMatrix:
                         f"{self._col_indices[j - 1]} then {self._col_indices[j]}"
                     )
         self._sweep = _position_sweep(self._values, self._col_indices, self._row_ptr)
+
+    @classmethod
+    def _trusted(
+        cls,
+        rows: int,
+        cols: int,
+        values: Sequence[float],
+        col_indices: Sequence[int],
+        row_ptr: Sequence[int],
+    ) -> "CrsMatrix":
+        # finite floats and ints that already satisfy every invariant __init__ checks
+        self = cls.__new__(cls)
+        self._rows = rows
+        self._cols = cols
+        self._values = tuple(values)
+        self._col_indices = tuple(col_indices)
+        self._row_ptr = tuple(row_ptr)
+        self._sweep = _position_sweep(self._values, self._col_indices, self._row_ptr)
+        return self
 
     @property
     def rows(self) -> int:
@@ -353,21 +366,16 @@ class CrsMatrix:
         grid[rows, np.array(self._col_indices, dtype=np.intp)] = self._values
         return DenseMatrix._trusted(self._rows, self._cols, grid)
 
+    def _key(self) -> tuple:
+        return (self._rows, self._cols, self._values, self._col_indices, self._row_ptr)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrsMatrix):
             return NotImplemented
-        return (
-            self._rows == other._rows
-            and self._cols == other._cols
-            and self._values == other._values
-            and self._col_indices == other._col_indices
-            and self._row_ptr == other._row_ptr
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (self._rows, self._cols, self._values, self._col_indices, self._row_ptr)
-        )
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
@@ -397,11 +405,11 @@ def _position_sweep(
     return tuple(sweep)
 
 
-def _arithmetic_result(array: np.ndarray, orientation: Orientation, op: str) -> Vector:
-    """Wrap values computed from checked operands; only overflow can make them non-finite."""
+def _finite(array: np.ndarray, op: str) -> np.ndarray:
+    """Return values computed from checked operands; only overflow makes them non-finite."""
     if not np.isfinite(array).all():
         raise ValueError(f"{op}: the result overflowed to a non-finite value")
-    return Vector._trusted(array, orientation)
+    return array
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -415,7 +423,7 @@ def _running_sum(terms: np.ndarray) -> float:
 def vec_scale(s: float, v: Vector) -> Vector:
     """Scale every component; orientation is preserved."""
     s = float(checked_real(s, "scale factor"))
-    return _arithmetic_result(s * v._array, v.orientation, "vec_scale")
+    return Vector._trusted(_finite(s * v._array, "vec_scale"), v.orientation)
 
 
 def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
@@ -431,13 +439,13 @@ def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
 @_quiet
 def vec_add(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_add")
-    return _arithmetic_result(v1._array + v2._array, v1.orientation, "vec_add")
+    return Vector._trusted(_finite(v1._array + v2._array, "vec_add"), v1.orientation)
 
 
 @_quiet
 def vec_sub(v1: Vector, v2: Vector) -> Vector:
     _require_same_shape(v1, v2, "vec_sub")
-    return _arithmetic_result(v1._array - v2._array, v1.orientation, "vec_sub")
+    return Vector._trusted(_finite(v1._array - v2._array, "vec_sub"), v1.orientation)
 
 
 @_quiet
@@ -463,10 +471,11 @@ def l2_norm(v: Vector) -> float:
     return math.sqrt(_running_sum(v._array * v._array))
 
 
+@_quiet
 def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
     """Scale every entry; shape is preserved."""
-    s = checked_real(s, "scale factor")
-    return DenseMatrix(m.rows, m.cols, [s * x for x in m.entries])
+    grid = float(checked_real(s, "scale factor")) * m._grid
+    return DenseMatrix._trusted(m.rows, m.cols, _finite(grid, "mat_scale"))
 
 
 def _require_column_operand(m_cols: int, v: Vector) -> None:
@@ -492,7 +501,7 @@ def matvec(m: DenseMatrix, v: Vector) -> Vector:
         out = terms[:, -1] + 0.0
     else:
         out = np.zeros(m.rows)
-    return _arithmetic_result(out, Orientation.COLUMN, "matvec")
+    return Vector._trusted(_finite(out, "matvec"), Orientation.COLUMN)
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
@@ -500,7 +509,7 @@ def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     rows, cols = np.nonzero(m._grid)  # row-major order; -0.0 counts as zero
     row_ptr = np.zeros(m.rows + 1, dtype=np.intp)
     np.cumsum(np.count_nonzero(m._grid, axis=1), out=row_ptr[1:])
-    return CrsMatrix(
+    return CrsMatrix._trusted(
         m.rows, m.cols, m._grid[rows, cols].tolist(), cols.tolist(), row_ptr.tolist()
     )
 
@@ -518,4 +527,4 @@ def crs_matvec(m: CrsMatrix, v: Vector) -> Vector:
     acc = np.zeros(m.rows)
     for rows, values, cols in m._sweep:
         acc[rows] += values * x[cols]
-    return _arithmetic_result(acc, Orientation.COLUMN, "crs_matvec")
+    return Vector._trusted(_finite(acc, "crs_matvec"), Orientation.COLUMN)
