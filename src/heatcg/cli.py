@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 from ._checks import checked_real
 from .cgsolver import CgConfig
@@ -94,28 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _heat_inputs(args: argparse.Namespace) -> tuple[HeatProblem, CgConfig]:
-    # invalid values surface as exit 2 with a usage message
-    try:
-        problem = HeatProblem(
-            gamma=args.gamma,
-            domain_length=args.length,
-            number_of_cells=args.cells,
-            boundary_left=args.t_left,
-            boundary_right=args.t_right,
-        )
-        config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
-    except (TypeError, ValueError) as exc:
-        args.subparser.error(str(exc))
-    return problem, config
+def _heat_command(
+    report: Callable[[argparse.Namespace, HeatProblem, HeatSolution], int]
+) -> Callable[[argparse.Namespace], int]:
+    """Wrap report(args, problem, solution) into a command that builds and solves the problem."""
 
+    def command(args: argparse.Namespace) -> int:
+        try:  # invalid values surface as exit 2 with a usage message
+            problem = HeatProblem(
+                gamma=args.gamma,
+                domain_length=args.length,
+                number_of_cells=args.cells,
+                boundary_left=args.t_left,
+                boundary_right=args.t_right,
+            )
+            config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
+        except (TypeError, ValueError) as exc:
+            args.subparser.error(str(exc))
+        try:  # finite but extreme options can overflow, or underflow dx to 0
+            solution = solve_heat(problem, config, storage=args.storage)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)
+            return 2
+        return report(args, problem, solution)
 
-def _solve(problem: HeatProblem, config: CgConfig, storage: str) -> Optional[HeatSolution]:
-    try:  # finite but extreme options can overflow, or underflow dx to 0
-        return solve_heat(problem, config, storage=storage)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)
-        return None
+    return command
 
 
 def _write_profile(stream: IO[str], xs: Sequence[float], temps: Sequence[float]) -> None:
@@ -124,11 +127,8 @@ def _write_profile(stream: IO[str], xs: Sequence[float], temps: Sequence[float])
         stream.write(f"{_fmt(x)},{_fmt(t)}\n")
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    problem, config = _heat_inputs(args)
-    solution = _solve(problem, config, args.storage)
-    if solution is None:
-        return 2
+@_heat_command
+def cmd_solve(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolution) -> int:
     xs = cell_centers(problem).components
     temps = solution.temperature.components
     if args.out is not None:
@@ -154,11 +154,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    problem, config = _heat_inputs(args)
-    solution = _solve(problem, config, args.storage)
-    if solution is None:
-        return 2
+@_heat_command
+def cmd_verify(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolution) -> int:
     cg = solution.cg
     error = solution.l2_error_vs_analytic
     print(_fmt(error))
@@ -182,7 +179,7 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as stream:
             text = stream.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return 2
     try:

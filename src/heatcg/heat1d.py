@@ -25,7 +25,7 @@ import numpy as np
 from ._checks import checked_count, checked_real
 from .cgsolver import CgConfig, CgResult, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
-from .linalg import _finite
+from .linalg import _finite, _quiet
 
 __all__ = [
     "HeatProblem",
@@ -109,27 +109,28 @@ class AssembledSystem:
             raise ValueError(
                 f"cell_centers length {len(self.cell_centers)} must equal {n}"
             )
-        # upper[i] is entry (i, i+1) and lower[i] entry (i+1, i); absent is 0.0
-        upper = [0.0] * n
-        lower = [0.0] * n
-        values, col_indices, row_ptr = m.values, m.col_indices, m.row_ptr
-        for i in range(n):
-            for k in range(row_ptr[i], row_ptr[i + 1]):
-                j = col_indices[k]
-                if j == i + 1:
-                    upper[i] = values[k]
-                elif j == i - 1:
-                    lower[j] = values[k]
-                elif j != i:
-                    raise ValueError(
-                        f"matrix must be tridiagonal: nonzero {values[k]!r} at ({i},{j})"
-                    )
-        for i in range(n - 1):
-            if upper[i] != lower[i]:
-                raise ValueError(
-                    f"matrix must be symmetric: ({i},{i + 1}) == {upper[i]!r} "
-                    f"but ({i + 1},{i}) == {lower[i]!r}"
-                )
+        # stored entries in row order; upper[i] is (i, i+1), lower[i] is (i+1, i), absent 0.0
+        values, cols = m._values, m._col_indices
+        rows = np.repeat(np.arange(n), np.diff(m._row_ptr))
+        offset = cols - rows
+        off_band = np.flatnonzero(np.abs(offset) > 1)
+        if off_band.size:
+            k = off_band[0]
+            raise ValueError(
+                f"matrix must be tridiagonal: nonzero {values.item(k)!r} "
+                f"at ({rows.item(k)},{cols.item(k)})"
+            )
+        upper = np.zeros(n)
+        lower = np.zeros(n)
+        upper[rows[offset == 1]] = values[offset == 1]
+        lower[cols[offset == -1]] = values[offset == -1]
+        asymmetric = np.flatnonzero(upper != lower)
+        if asymmetric.size:
+            i = int(asymmetric[0])
+            raise ValueError(
+                f"matrix must be symmetric: ({i},{i + 1}) == {upper.item(i)!r} "
+                f"but ({i + 1},{i}) == {lower.item(i)!r}"
+            )
 
     @cached_property
     def matrix(self) -> DenseMatrix:
@@ -159,11 +160,12 @@ def stencil_coefficients(p: HeatProblem) -> StencilCoefficients:
 def cell_centers(p: HeatProblem) -> Vector:
     """x_i = i*dx + dx/2 for i in [0, N)."""
     dx = p.domain_length / p.number_of_cells
-    centers = [i * dx + dx / 2.0 for i in range(p.number_of_cells)]
+    centers = np.arange(p.number_of_cells) * dx + dx / 2.0
     # every x_i lies in [0, L], so none can overflow
-    return Vector._trusted(np.array(centers), Orientation.COLUMN)
+    return Vector._trusted(centers, Orientation.COLUMN)
 
 
+@_quiet
 def assemble(p: HeatProblem) -> AssembledSystem:
     """Build the 3N-2 tridiagonal entries in CRS form, dropping exact zeros.
 
@@ -171,36 +173,32 @@ def assemble(p: HeatProblem) -> AssembledSystem:
     """
     c = stencil_coefficients(p)
     n = p.number_of_cells
-    west, east = -c.a_w, -c.a_e
-    diagonal = [c.a_p] * n
+    diagonal = np.full(n, c.a_p)
     diagonal[0] += -c.s_p - c.a_w
     diagonal[n - 1] += -c.s_p - c.a_e
-    values: list[float] = []
-    col_indices: list[int] = []
-    row_ptr = [0]
-    for i in range(n):
-        for j, x in ((i - 1, west), (i, diagonal[i]), (i + 1, east)):
-            if 0 <= j < n and x != 0.0:
-                values.append(x)
-                col_indices.append(j)
-        row_ptr.append(len(values))
-    rhs = [0.0] * n
+    # row i of the band holds columns i-1, i, i+1; keep the ones in range and nonzero
+    band = np.column_stack((np.full(n, -c.a_w), diagonal, np.full(n, -c.a_e)))
+    cols = np.arange(n, dtype=np.intp)[:, None] + np.arange(-1, 2)
+    stored = (band != 0.0) & (cols >= 0) & (cols < n)  # -0.0 counts as zero
+    row_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
+    rhs = np.zeros(n)
     rhs[0] += c.s_u * p.boundary_left
     rhs[n - 1] += c.s_u * p.boundary_right
-    _finite(np.array(values + rhs), "assemble")
     return AssembledSystem(
-        crs=CrsMatrix._trusted(n, n, values, col_indices, row_ptr),
-        rhs=Vector._trusted(np.array(rhs), Orientation.COLUMN),
+        crs=CrsMatrix._trusted(
+            n, n, _finite(band[stored], "assemble"), cols[stored], row_ptr
+        ),
+        rhs=Vector._trusted(_finite(rhs, "assemble"), Orientation.COLUMN),
         cell_centers=cell_centers(p),
     )
 
 
+@_quiet
 def analytic_solution(p: HeatProblem) -> Vector:
     """Linear profile T(x) = T_L + (T_R - T_L)*x/L at the cell centers."""
-    t_l = p.boundary_left
     span = p.boundary_right - p.boundary_left
-    length = p.domain_length
-    profile = np.array([t_l + span * x / length for x in cell_centers(p)])
+    profile = p.boundary_left + span * cell_centers(p)._array / p.domain_length
     return Vector._trusted(_finite(profile, "analytic_solution"), Orientation.COLUMN)
 
 

@@ -1,7 +1,11 @@
 """Minimal dense and sparse linear algebra with pinned accumulation order.
 
-Vectors and matrices keep their components in numpy float64 arrays, and
-every kernel is a numpy expression whose summation order is pinned:
+Vectors and matrices keep their components in numpy arrays. A matrix
+keeps nothing else: a DenseMatrix holds one float64 grid, a CrsMatrix
+float64 values and intp column indices and row offsets, and accessors
+such as DenseMatrix.entries and CrsMatrix.values convert them on each
+read into tuples of plain Python floats and ints. Every kernel is a numpy
+expression whose summation order is pinned:
 
 - Elementwise +, - and * are exact per element, so vec_scale, vec_add
   and vec_sub cannot depend on any order.
@@ -258,6 +262,10 @@ class DenseMatrix:
 class CrsMatrix:
     """Compressed row storage: values, column indices, and row offsets.
 
+    The three numpy arrays are the storage: values as float64, col_indices
+    and row_ptr as intp. The values, col_indices and row_ptr properties
+    convert them on each read into tuples of plain floats and ints.
+
     Construction validates the full invariant set: offsets start at 0,
     never decrease, and end at len(values); column indices are in range
     and strictly increasing within each row; no stored value is zero.
@@ -273,69 +281,68 @@ class CrsMatrix:
         col_indices: Iterable[int],
         row_ptr: Iterable[int],
     ) -> None:
-        self._rows = checked_count(rows, "rows")
-        self._cols = checked_count(cols, "cols")
-        self._values = _checked_components(values, "CrsMatrix values")
-        if 0.0 in self._values:
-            k = self._values.index(0.0)
+        rows = checked_count(rows, "rows")
+        cols = checked_count(cols, "cols")
+        values = _checked_components(values, "CrsMatrix values")
+        if 0.0 in values:
+            k = values.index(0.0)
             raise ValueError(f"CrsMatrix must not store zeros: values[{k}] == 0.0")
-        self._col_indices = tuple(col_indices)
-        if len(self._col_indices) != len(self._values):
+        col_indices = tuple(col_indices)
+        if len(col_indices) != len(values):
             raise ValueError(
-                f"col_indices length {len(self._col_indices)} must equal "
-                f"values length {len(self._values)}"
+                f"col_indices length {len(col_indices)} must equal "
+                f"values length {len(values)}"
             )
-        for k, c in enumerate(self._col_indices):
-            if checked_count(c, f"col_indices[{k}]") >= self._cols:
-                raise ValueError(
-                    f"col_indices[{k}] == {c} out of range [0, {self._cols})"
-                )
-        self._row_ptr = tuple(row_ptr)
-        if len(self._row_ptr) != self._rows + 1:
+        for k, c in enumerate(col_indices):
+            if checked_count(c, f"col_indices[{k}]") >= cols:
+                raise ValueError(f"col_indices[{k}] == {c} out of range [0, {cols})")
+        row_ptr = tuple(row_ptr)
+        if len(row_ptr) != rows + 1:
             raise ValueError(
-                f"row_ptr length {len(self._row_ptr)} must be rows + 1 == {self._rows + 1}"
+                f"row_ptr length {len(row_ptr)} must be rows + 1 == {rows + 1}"
             )
-        for k, p in enumerate(self._row_ptr):
+        for k, p in enumerate(row_ptr):
             checked_count(p, f"row_ptr[{k}]")
-        if self._row_ptr[0] != 0:
-            raise ValueError(f"row_ptr[0] must be 0, got {self._row_ptr[0]}")
-        if self._row_ptr[-1] != len(self._values):
+        if row_ptr[0] != 0:
+            raise ValueError(f"row_ptr[0] must be 0, got {row_ptr[0]}")
+        if row_ptr[-1] != len(values):
             raise ValueError(
-                f"row_ptr[{self._rows}] must equal values length "
-                f"{len(self._values)}, got {self._row_ptr[-1]}"
+                f"row_ptr[{rows}] must equal values length "
+                f"{len(values)}, got {row_ptr[-1]}"
             )
-        for k in range(self._rows):
-            if self._row_ptr[k] > self._row_ptr[k + 1]:
+        for k in range(rows):
+            if row_ptr[k] > row_ptr[k + 1]:
                 raise ValueError(
-                    f"row_ptr must be non-decreasing: row_ptr[{k}] == {self._row_ptr[k]} "
-                    f"> row_ptr[{k + 1}] == {self._row_ptr[k + 1]}"
+                    f"row_ptr must be non-decreasing: row_ptr[{k}] == {row_ptr[k]} "
+                    f"> row_ptr[{k + 1}] == {row_ptr[k + 1]}"
                 )
-            for j in range(self._row_ptr[k] + 1, self._row_ptr[k + 1]):
-                if self._col_indices[j - 1] >= self._col_indices[j]:
+            for j in range(row_ptr[k] + 1, row_ptr[k + 1]):
+                if col_indices[j - 1] >= col_indices[j]:
                     raise ValueError(
                         f"col_indices must be strictly increasing within row {k}: "
-                        f"{self._col_indices[j - 1]} then {self._col_indices[j]}"
+                        f"{col_indices[j - 1]} then {col_indices[j]}"
                     )
-        self._sweep = _position_sweep(self._values, self._col_indices, self._row_ptr)
+        self._assign(
+            rows, cols, np.array(values, dtype=np.float64),
+            np.array(col_indices, dtype=np.intp), np.array(row_ptr, dtype=np.intp),
+        )
 
     @classmethod
-    def _trusted(
-        cls,
-        rows: int,
-        cols: int,
-        values: Sequence[float],
-        col_indices: Sequence[int],
-        row_ptr: Sequence[int],
-    ) -> "CrsMatrix":
-        # finite floats and ints that already satisfy every invariant __init__ checks
+    def _trusted(cls, rows: int, cols: int, values: np.ndarray,
+                 col_indices: np.ndarray, row_ptr: np.ndarray) -> "CrsMatrix":
+        # float64 values and intp indices that already satisfy every invariant __init__ checks
         self = cls.__new__(cls)
+        self._assign(rows, cols, values, col_indices, row_ptr)
+        return self
+
+    def _assign(self, rows: int, cols: int, values: np.ndarray,
+                col_indices: np.ndarray, row_ptr: np.ndarray) -> None:
         self._rows = rows
         self._cols = cols
-        self._values = tuple(values)
-        self._col_indices = tuple(col_indices)
-        self._row_ptr = tuple(row_ptr)
-        self._sweep = _position_sweep(self._values, self._col_indices, self._row_ptr)
-        return self
+        self._values = values
+        self._col_indices = col_indices
+        self._row_ptr = row_ptr
+        self._sweep = _position_sweep(values, col_indices, row_ptr)
 
     @property
     def rows(self) -> int:
@@ -347,15 +354,15 @@ class CrsMatrix:
 
     @property
     def values(self) -> tuple[float, ...]:
-        return self._values
+        return tuple(self._values.tolist())
 
     @property
     def col_indices(self) -> tuple[int, ...]:
-        return self._col_indices
+        return tuple(self._col_indices.tolist())
 
     @property
     def row_ptr(self) -> tuple[int, ...]:
-        return self._row_ptr
+        return tuple(self._row_ptr.tolist())
 
     def nnz(self) -> int:
         return len(self._values)
@@ -363,11 +370,11 @@ class CrsMatrix:
     def to_dense(self) -> DenseMatrix:
         grid = np.zeros((self._rows, self._cols))
         rows = np.repeat(np.arange(self._rows), np.diff(self._row_ptr))
-        grid[rows, np.array(self._col_indices, dtype=np.intp)] = self._values
+        grid[rows, self._col_indices] = self._values
         return DenseMatrix._trusted(self._rows, self._cols, grid)
 
     def _key(self) -> tuple:
-        return (self._rows, self._cols, self._values, self._col_indices, self._row_ptr)
+        return (self._rows, self._cols, self.values, self.col_indices, self.row_ptr)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrsMatrix):
@@ -379,13 +386,13 @@ class CrsMatrix:
 
     def __repr__(self) -> str:
         return (
-            f"CrsMatrix({self._rows}, {self._cols}, {list(self._values)!r}, "
-            f"{list(self._col_indices)!r}, {list(self._row_ptr)!r})"
+            f"CrsMatrix({self._rows}, {self._cols}, {self._values.tolist()!r}, "
+            f"{self._col_indices.tolist()!r}, {self._row_ptr.tolist()!r})"
         )
 
 
 def _position_sweep(
-    values: tuple[float, ...], col_indices: tuple[int, ...], row_ptr: tuple[int, ...]
+    values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per stored position k: the rows with more than k entries, and their k-th value and column.
 
@@ -393,15 +400,12 @@ def _position_sweep(
     O(nnz) memory; one product costs one numpy pass per position, that is,
     per entry of the longest row.
     """
-    ptr = np.array(row_ptr, dtype=np.intp)
-    lengths = np.diff(ptr)
-    all_values = np.array(values, dtype=np.float64)
-    all_cols = np.array(col_indices, dtype=np.intp)
+    lengths = np.diff(row_ptr)
     sweep = []
     for k in range(int(lengths.max(initial=0))):
         rows = np.flatnonzero(lengths > k)
-        at = ptr[rows] + k
-        sweep.append((rows, all_values[at], all_cols[at]))
+        at = row_ptr[rows] + k
+        sweep.append((rows, values[at], col_indices[at]))
     return tuple(sweep)
 
 
@@ -509,9 +513,7 @@ def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     rows, cols = np.nonzero(m._grid)  # row-major order; -0.0 counts as zero
     row_ptr = np.zeros(m.rows + 1, dtype=np.intp)
     np.cumsum(np.count_nonzero(m._grid, axis=1), out=row_ptr[1:])
-    return CrsMatrix._trusted(
-        m.rows, m.cols, m._grid[rows, cols].tolist(), cols.tolist(), row_ptr.tolist()
-    )
+    return CrsMatrix._trusted(m.rows, m.cols, m._grid[rows, cols], cols, row_ptr)
 
 
 @_quiet
