@@ -11,9 +11,20 @@ l2_norm(r), computes it again. Convergence means the absolute residual L2
 norm is at or below the tolerance, checked after initialization and after
 every step.
 
-The operator may be a DenseMatrix, a CrsMatrix, or any callable mapping a
-column Vector to a column Vector. Dense and compressed-row operators for
-the same matrix yield bitwise identical iterates (see linalg).
+One loop body, _step, runs these recurrences (Hestenes and Stiefel, 1952)
+on float64 arrays (phi, r, d, rT r) with linalg's private kernels.
+cg_init, cg_step and cg_solve wrap it: each checks its inputs once, enters
+numpy's errstate once, and builds Vectors only for what it returns.
+Overflow raises ValueError. rT r is checked after initialization and after
+every step, which covers r; d and phi are checked once, on return. Nothing
+escapes: a non-finite d reaches r within one step, through 0 * inf or
+inf - inf, and a non-finite phi stays non-finite.
+
+The operator is an N x N DenseMatrix or CrsMatrix, N = len(b), or a
+callable from a column Vector to a column Vector of the same length. Each
+result of a callable is checked; TypeError or ValueError names it. Dense
+and compressed-row operators for the same matrix yield bitwise identical
+iterates (see linalg).
 """
 
 from __future__ import annotations
@@ -24,19 +35,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import linalg
 from ._checks import checked_count, checked_real
-from .linalg import (
-    CrsMatrix,
-    DenseMatrix,
-    Orientation,
-    Vector,
-    crs_matvec,
-    dot,
-    matvec,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
+from .linalg import _crs_product, _dense_product, _finite
 
 __all__ = [
     "CgBreakdownError",
@@ -50,6 +52,11 @@ __all__ = [
 
 ApplyA = Callable[[Vector], Vector]
 OperatorLike = Union[DenseMatrix, CrsMatrix, ApplyA]
+_Product = Callable[[np.ndarray], np.ndarray]
+
+# Not linalg's errstate object: a callable operator runs linalg's kernels
+# inside a solve, and numpy 1.x cannot nest one errstate object in itself.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class CgBreakdownError(ArithmeticError):
@@ -60,17 +67,33 @@ class CgBreakdownError(ArithmeticError):
     """
 
 
-def _as_operator(operator: OperatorLike) -> ApplyA:
-    if isinstance(operator, DenseMatrix):
-        return lambda v: matvec(operator, v)
-    if isinstance(operator, CrsMatrix):
-        return lambda v: crs_matvec(operator, v)
-    if callable(operator):
-        return operator
-    raise TypeError(
-        f"operator must be a DenseMatrix, a CrsMatrix, or a callable, "
-        f"got {type(operator).__name__}"
-    )
+def _as_operator(operator: OperatorLike, n: int) -> _Product:
+    """The operator as a function on float64 arrays; a matrix must be n x n."""
+    if isinstance(operator, (DenseMatrix, CrsMatrix)):
+        if (operator.rows, operator.cols) != (n, n):
+            raise ValueError(
+                f"operator must be {n}x{n} like b, got {operator.rows}x{operator.cols}"
+            )
+        product = _dense_product if isinstance(operator, DenseMatrix) else _crs_product
+        return lambda x: product(operator, x)
+    if not callable(operator):
+        raise TypeError(
+            f"operator must be a DenseMatrix, a CrsMatrix, or a callable, "
+            f"got {type(operator).__name__}"
+        )
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = operator(Vector._trusted(x, Orientation.COLUMN))
+        if not isinstance(y, Vector):
+            raise TypeError(f"operator {operator!r} returned {type(y).__name__}, not a Vector")
+        if y.orientation is not Orientation.COLUMN or len(y) != n:
+            raise ValueError(
+                f"operator {operator!r} returned a {y.orientation.value} Vector of "
+                f"length {len(y)}, not a column of length {n}"
+            )
+        return y._array
+
+    return apply
 
 
 def _require_column(v: Vector, label: str) -> Vector:
@@ -141,51 +164,82 @@ class CgResult:
     breakdown: bool = False
 
 
-def cg_init(operator: OperatorLike, b: Vector, x0: Vector) -> CgState:
-    """Initial state: phi = x0, r = d = b - A x0, counters at zero."""
-    apply_a = _as_operator(operator)
+def _start(
+    operator: OperatorLike, b: Vector, x0: Vector
+) -> tuple[_Product, np.ndarray, float]:
+    """Check the inputs once; the operator on arrays, r = b - A x0 and rT r."""
     _require_column(b, "b")
+    apply_a = _as_operator(operator, len(b))
     _require_column(x0, "x0")
     if len(b) != len(x0):
         raise ValueError(
             f"cg_init: b and x0 lengths must match, got {len(b)} and {len(x0)}"
         )
-    r = vec_sub(b, apply_a(x0))
-    return CgState(phi=x0, r=r, d=r, alpha=0.0, beta=0.0, n=0)
+    r = b._array - apply_a(x0._array)
+    return apply_a, r, _r_dot_r(r)
 
 
+def _r_dot_r(r: np.ndarray) -> float:
+    """rT r, which must be finite; then every component of r is finite too."""
+    r_dot_r = linalg._running_sum(r * r)
+    if not math.isfinite(r_dot_r):
+        raise ValueError(f"cg: rT r overflowed to {r_dot_r!r}")
+    return r_dot_r
+
+
+def _step(apply_a: _Product, phi: np.ndarray, r: np.ndarray, d: np.ndarray,
+          r_dot_r: float, n: int) -> tuple:
+    """Step n + 1 on arrays: phi, r, d, rT r, alpha and beta after it."""
+    ad = apply_a(d)
+    d_dot_r = linalg._running_sum(d * r)
+    d_dot_ad = linalg._running_sum(d * ad)
+    if d_dot_ad == 0.0:
+        raise CgBreakdownError(
+            f"dT A d is exactly zero at iteration {n}; "
+            f"operator is degenerate or not positive definite"
+        )
+    alpha = d_dot_r / d_dot_ad
+    phi = phi + alpha * d
+    if r_dot_r == 0.0:
+        raise CgBreakdownError(
+            f"rT r is exactly zero at iteration {n}; residual already vanished"
+        )
+    r = r - alpha * ad
+    r_dot_r_next = _r_dot_r(r)
+    beta = r_dot_r_next / r_dot_r
+    return phi, r, r + beta * d, r_dot_r_next, alpha, beta
+
+
+def _column(array: np.ndarray, op: str) -> Vector:
+    return Vector._trusted(_finite(array, op), Orientation.COLUMN)
+
+
+@_quiet
+def cg_init(operator: OperatorLike, b: Vector, x0: Vector) -> CgState:
+    """Initial state: phi = x0, r = d = b - A x0, counters at zero."""
+    _, r, r_dot_r = _start(operator, b, x0)
+    r = Vector._trusted(r, Orientation.COLUMN)
+    return CgState(phi=x0, r=r, d=r, alpha=0.0, beta=0.0, n=0, r_dot_r=r_dot_r)
+
+
+@_quiet
 def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     """Advance one iteration; A d is evaluated exactly once.
 
     Raises CgBreakdownError when dT A d or rT r is exactly zero (no
     epsilon test: an SPD operator only produces zero for a zero vector).
     """
-    apply_a = _as_operator(operator)
-    ad = apply_a(state.d)
-    d_row = state.d.transpose()
-    d_dot_r = dot(d_row, state.r)
-    d_dot_ad = dot(d_row, ad)
-    if d_dot_ad == 0.0:
-        raise CgBreakdownError(
-            f"dT A d is exactly zero at iteration {state.n}; "
-            f"operator is degenerate or not positive definite"
-        )
-    alpha = d_dot_r / d_dot_ad
-    phi_next = vec_add(state.phi, vec_scale(alpha, state.d))
-    if state.r_dot_r == 0.0:
-        raise CgBreakdownError(
-            f"rT r is exactly zero at iteration {state.n}; residual already vanished"
-        )
-    r_next = vec_sub(state.r, vec_scale(alpha, ad))
-    r_dot_r_next = dot(r_next.transpose(), r_next)
-    beta = r_dot_r_next / state.r_dot_r
-    d_next = vec_add(r_next, vec_scale(beta, state.d))
+    phi, r, d, r_dot_r, alpha, beta = _step(
+        _as_operator(operator, len(state.d)),
+        state.phi._array, state.r._array, state.d._array, state.r_dot_r, state.n,
+    )
     return CgState(
-        phi=phi_next, r=r_next, d=d_next, alpha=alpha, beta=beta, n=state.n + 1,
-        r_dot_r=r_dot_r_next,
+        phi=_column(phi, "cg_step"), r=Vector._trusted(r, Orientation.COLUMN),
+        d=_column(d, "cg_step"), alpha=alpha, beta=beta, n=state.n + 1, r_dot_r=r_dot_r,
     )
 
 
+@_quiet
 def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     """Iterate until the residual norm is at or below the tolerance.
 
@@ -193,27 +247,27 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     already small enough. A breakdown with the residual still above the
     tolerance is reported as non-convergence with the breakdown flag set.
     """
-    apply_a = _as_operator(operator)
     if not isinstance(config, CgConfig):
         raise TypeError(f"config must be a CgConfig, got {type(config).__name__}")
     _require_column(b, "b")
-    if config.initial_guess is not None:
-        x0 = config.initial_guess
-    else:
+    x0 = config.initial_guess
+    if x0 is None:
         x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
-    state = cg_init(apply_a, b, x0)
-    residual_norm = math.sqrt(state.r_dot_r)
-    breakdown = False
-    while residual_norm > config.tolerance and state.n < config.max_iterations:
+    apply_a, r, r_dot_r = _start(operator, b, x0)
+    phi, d, n, breakdown = x0._array, r, 0, False
+    residual_norm = math.sqrt(r_dot_r)
+    while residual_norm > config.tolerance and n < config.max_iterations:
         try:
-            state = cg_step(state, apply_a)
+            phi, r, d, r_dot_r, _, _ = _step(apply_a, phi, r, d, r_dot_r, n)
         except CgBreakdownError:
             breakdown = True
             break
-        residual_norm = math.sqrt(state.r_dot_r)
+        n += 1
+        residual_norm = math.sqrt(r_dot_r)
+    _finite(d, "cg_solve")
     return CgResult(
-        solution=state.phi,
-        iterations=state.n,
+        solution=_column(phi, "cg_solve"),
+        iterations=n,
         residual_norm=residual_norm,
         converged=residual_norm <= config.tolerance,
         breakdown=breakdown,

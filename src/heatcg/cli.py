@@ -111,7 +111,7 @@ def _heat_command(
             config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
         except (TypeError, ValueError) as exc:
             args.subparser.error(str(exc))
-        try:  # finite but extreme options can overflow, or underflow dx to 0
+        try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
             solution = solve_heat(problem, config, storage=args.storage)
         except (ValueError, ArithmeticError) as exc:
             print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ error only, at any resolution.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -210,6 +211,10 @@ def solve_heat(p: HeatProblem, cfg: CgConfig, storage: Storage = "dense") -> Hea
     """
     if storage not in ("dense", "crs"):
         raise ValueError(f"storage must be 'dense' or 'crs', got {storage!r}")
+    coupling = stencil_coefficients(p).a_w
+    if coupling < sys.float_info.min:
+        # A would be (nearly) zero, and CG would return a wrong profile
+        raise ValueError(f"gamma/dx == {coupling!r} underflows below the normal range")
     system = assemble(p)
     operator = system.matrix if storage == "dense" else system.crs
     result = cg_solve(operator, system.rhs, cfg)

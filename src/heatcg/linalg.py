@@ -42,6 +42,11 @@ assemble and analytic profile) carry one non-finite check, so overflow
 still raises ValueError; transpose, to_dense and dense_to_crs only
 rearrange checked values and check nothing. numpy's floating-point
 warnings are silenced inside the kernels so that ValueError is the report.
+
+Each operation has one kernel, on arrays and unchecked: _dense_product,
+_crs_product and _running_sum. The public functions add the checks and
+Vectors around them. The CG loop (cgsolver) calls the same three kernels
+directly, enters errstate once per call and checks for overflow itself.
 """
 
 from __future__ import annotations
@@ -283,6 +288,11 @@ class CrsMatrix:
     ) -> None:
         rows = checked_count(rows, "rows")
         cols = checked_count(cols, "cols")
+        # rows and row_ptr are bounded by the lengths of real sequences, and
+        # col_indices by cols: only cols can exceed numpy's index range
+        limit = np.iinfo(np.intp).max
+        if cols > limit:
+            raise ValueError(f"cols == {cols} exceeds numpy's index range [0, {limit}]")
         values = _checked_components(values, "CrsMatrix values")
         if 0.0 in values:
             k = values.index(0.0)
@@ -494,18 +504,21 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
+def _dense_product(m: DenseMatrix, x: np.ndarray) -> np.ndarray:
+    """m times x, each row a running sum in column order; unchecked."""
+    if not m.cols:
+        return np.zeros(m.rows)
+    terms = m._grid * x
+    # in place: a second rows x cols buffer roughly doubles the time at N = 200
+    np.cumsum(terms, axis=1, out=terms)
+    return terms[:, -1] + 0.0
+
+
 @_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
     _require_column_operand(m.cols, v)
-    if m.cols:
-        terms = m._grid * v._array
-        # in place: a second rows x cols buffer roughly doubles the time at N = 200
-        np.cumsum(terms, axis=1, out=terms)
-        out = terms[:, -1] + 0.0
-    else:
-        out = np.zeros(m.rows)
-    return Vector._trusted(_finite(out, "matvec"), Orientation.COLUMN)
+    return Vector._trusted(_finite(_dense_product(m, v._array), "matvec"), Orientation.COLUMN)
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
@@ -514,6 +527,14 @@ def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     row_ptr = np.zeros(m.rows + 1, dtype=np.intp)
     np.cumsum(np.count_nonzero(m._grid, axis=1), out=row_ptr[1:])
     return CrsMatrix._trusted(m.rows, m.cols, m._grid[rows, cols], cols, row_ptr)
+
+
+def _crs_product(m: CrsMatrix, x: np.ndarray) -> np.ndarray:
+    """m times x by the position sweep, each row from +0.0; unchecked."""
+    acc = np.zeros(m.rows)
+    for rows, values, cols in m._sweep:
+        acc[rows] += values * x[cols]
+    return acc
 
 
 @_quiet
@@ -525,8 +546,4 @@ def crs_matvec(m: CrsMatrix, v: Vector) -> Vector:
     partial sum, so results match matvec(m.to_dense(), v) bit for bit.
     """
     _require_column_operand(m.cols, v)
-    x = v._array
-    acc = np.zeros(m.rows)
-    for rows, values, cols in m._sweep:
-        acc[rows] += values * x[cols]
-    return Vector._trusted(_finite(acc, "crs_matvec"), Orientation.COLUMN)
+    return Vector._trusted(_finite(_crs_product(m, v._array), "crs_matvec"), Orientation.COLUMN)
