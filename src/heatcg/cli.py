@@ -4,8 +4,11 @@ Data goes to standard output (solve: CSV temperature profile; verify: the
 error norm; pyramid: the report), diagnostics go to standard error. Exit
 codes: 0 success, 1 failed check (non-convergence, error above threshold,
 failing or slow tests), 2 invalid options, unreadable/malformed input, an
-unwritable --out file, or a problem whose assembly or solve overflows
-binary64, 3 pyramid ordering violation.
+unwritable --out file, a problem whose assembly or solve overflows
+binary64, or one too large to allocate (a dense solve holds two N x N
+grids, the matrix and one product's terms, and is refused before
+allocating when they exceed the machine's physical memory; --storage crs
+takes O(N)), 3 pyramid ordering violation.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -14,6 +17,7 @@ binary64 exactly, so identical options produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import IO, Callable, Optional, Sequence
 
@@ -56,6 +60,14 @@ def _add_solve_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--storage", choices=("dense", "crs"), default="dense",
                      help="operator storage handed to the solver (default dense)")
     sub.add_argument("--out", default=None, help="write CSV here instead of standard output")
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,10 +123,24 @@ def _heat_command(
             config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
         except (TypeError, ValueError) as exc:
             args.subparser.error(str(exc))
+        if args.storage == "dense":
+            # refused before allocating: under lazy overcommit the grid's
+            # allocation succeeds and the first product exhausts the machine
+            need, memory = 16 * args.cells**2, _physical_memory()
+            if memory is not None and need > memory:
+                print(f"error: a dense solve at N = {args.cells} needs {need} bytes "
+                      f"(the N x N matrix and one product's terms), more than this "
+                      f"machine's {memory}; --storage crs needs O(N) memory",
+                      file=sys.stderr)
+                return 2
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
             solution = solve_heat(problem, config, storage=args.storage)
         except (ValueError, ArithmeticError) as exc:
             print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            hint = "; --storage crs needs O(N) memory" if args.storage == "dense" else ""
+            print(f"error: out of memory: {exc}{hint}", file=sys.stderr)
             return 2
         return report(args, problem, solution)
 

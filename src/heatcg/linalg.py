@@ -10,14 +10,19 @@ expression whose summation order is pinned:
 - Elementwise +, - and * are exact per element, so vec_scale, vec_add
   and vec_sub cannot depend on any order.
 - Every reduction (dot, l2_norm, a row of the dense product) is a running
-  sum, np.cumsum(terms)[-1] + 0.0. cumsum is add.accumulate: each prefix
-  is an output, formed from the previous one, so the terms are added left
-  to right in index order. The "+ 0.0" reproduces a loop that starts at
-  +0.0: cumsum([-0.0, -0.0])[-1] is -0.0 where the loop gives 0.0, and
-  adding +0.0 changes no other value.
-- The sparse product sweeps position k of every row at once,
-  acc[rows_k] += vals_k * x[cols_k], so each row adds its stored entries
-  in increasing column order to an accumulator that starts at +0.0.
+  sum, np.add.accumulate(terms)[-1] + 0.0 (np.cumsum computes the same
+  bits behind a slower Python wrapper). Each prefix is an output, formed
+  from the previous one, so the terms are added left to right in index
+  order. The "+ 0.0" reproduces a loop that starts at +0.0: the last
+  prefix of [-0.0, -0.0] is -0.0 where the loop gives 0.0, and adding
+  +0.0 changes no other value.
+- The sparse product runs passes built once per matrix,
+  acc[rows] += vals * x[cols], each holding at most one entry per row:
+  one pass per diagonal (offset col - row, increasing), indexed by slices
+  where the diagonal's rows are contiguous, or, when there are more
+  diagonals than entries in the longest row, one pass per stored position
+  k of every row. Either way each row adds its stored entries in
+  increasing column order to an accumulator that starts at +0.0.
 
 A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
@@ -25,9 +30,9 @@ the dense and compressed-row paths produce bitwise identical results for
 the same matrix. Several tests and the solver rely on that contract, so
 np.dot, np.sum, add.reduce and the @ operator stay banned: their order is
 unspecified (pairwise, blocked or BLAS), and np.dot disagrees with the
-left-to-right loop on most random vectors. cumsum's order is an
-implementation property rather than a documented numpy guarantee; a test
-pins it against a pure-Python loop on the installed numpy.
+left-to-right loop on most random vectors. add.accumulate's order is an
+implementation property rather than a documented numpy guarantee; tests
+pin it against a pure-Python loop on the installed numpy.
 
 Values are immutable: every operation returns a new object and never
 mutates its inputs. Preconditions fail fast with a diagnostic naming the
@@ -276,7 +281,7 @@ class CrsMatrix:
     and strictly increasing within each row; no stored value is zero.
     """
 
-    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_sweep")
+    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_passes")
 
     def __init__(
         self,
@@ -352,7 +357,7 @@ class CrsMatrix:
         self._values = values
         self._col_indices = col_indices
         self._row_ptr = row_ptr
-        self._sweep = _position_sweep(values, col_indices, row_ptr)
+        self._passes = _product_passes(values, col_indices, row_ptr)
 
     @property
     def rows(self) -> int:
@@ -401,18 +406,52 @@ class CrsMatrix:
         )
 
 
-def _position_sweep(
+def _product_passes(
     values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray
+) -> tuple[tuple, ...]:
+    """The (rows, values, cols) passes of the sparse product, built once per matrix.
+
+    Each pass holds at most one stored entry per row, and the passes run so
+    that every row adds its entries in increasing column order. Entries
+    are grouped by diagonal (offset col - row, in increasing order); a
+    diagonal whose rows are contiguous indexes by slices and gathers
+    nothing, so the tridiagonal heat matrix runs as 3 sliced passes. A
+    general pattern can have up to rows + cols - 1 diagonals, so when there
+    are more diagonals than entries in the longest row, the position sweep,
+    one pass per entry of the longest row, is used instead: numpy's cost
+    per pass dominates below a few hundred entries. The grouping sorts the
+    offsets once: O(nnz) memory, none sized by cols or by the offset range.
+    """
+    if not len(values):
+        return ()
+    lengths = np.diff(row_ptr)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = col_indices - rows
+    order = np.argsort(offsets, kind="stable")  # stable: rows stay increasing
+    bounds = np.flatnonzero(np.diff(offsets[order])) + 1
+    if len(bounds) + 1 > lengths.max():
+        return _position_sweep(values, col_indices, row_ptr, lengths)
+    passes = []
+    for group in np.split(order, bounds):
+        first, last, offset = int(rows[group[0]]), int(rows[group[-1]]), int(offsets[group[0]])
+        if last - first == len(group) - 1:
+            passes.append((slice(first, last + 1), values[group],
+                           slice(first + offset, last + 1 + offset)))
+        else:
+            passes.append((rows[group], values[group], col_indices[group]))
+    return tuple(passes)
+
+
+def _position_sweep(
+    values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray, lengths: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per stored position k: the rows with more than k entries, and their k-th value and column.
 
     Together the positions hold each stored entry once, so the sweep takes
-    O(nnz) memory; one product costs one numpy pass per position, that is,
-    per entry of the longest row.
+    O(nnz) memory.
     """
-    lengths = np.diff(row_ptr)
     sweep = []
-    for k in range(int(lengths.max(initial=0))):
+    for k in range(int(lengths.max())):
         rows = np.flatnonzero(lengths > k)
         at = row_ptr[rows] + k
         sweep.append((rows, values[at], col_indices[at]))
@@ -430,7 +469,7 @@ def _running_sum(terms: np.ndarray) -> float:
     """Left-to-right sum from +0.0; bitwise `acc = 0.0; for t in terms: acc += t`."""
     if not len(terms):
         return 0.0
-    return float(np.cumsum(terms)[-1]) + 0.0
+    return np.add.accumulate(terms).item(-1) + 0.0
 
 
 @_quiet
@@ -510,7 +549,7 @@ def _dense_product(m: DenseMatrix, x: np.ndarray) -> np.ndarray:
         return np.zeros(m.rows)
     terms = m._grid * x
     # in place: a second rows x cols buffer roughly doubles the time at N = 200
-    np.cumsum(terms, axis=1, out=terms)
+    np.add.accumulate(terms, axis=1, out=terms)
     return terms[:, -1] + 0.0
 
 
@@ -530,9 +569,9 @@ def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
 
 
 def _crs_product(m: CrsMatrix, x: np.ndarray) -> np.ndarray:
-    """m times x by the position sweep, each row from +0.0; unchecked."""
+    """m times x over the matrix's passes, each row from +0.0; unchecked."""
     acc = np.zeros(m.rows)
-    for rows, values, cols in m._sweep:
+    for rows, values, cols in m._passes:
         acc[rows] += values * x[cols]
     return acc
 
