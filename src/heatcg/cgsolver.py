@@ -12,19 +12,35 @@ norm is at or below the tolerance, checked after initialization and after
 every step.
 
 One loop body, _step, runs these recurrences (Hestenes and Stiefel, 1952)
-on float64 arrays (phi, r, d, rT r) with linalg's private kernels.
-cg_init, cg_step and cg_solve wrap it: each checks its inputs once, enters
-numpy's errstate once, and builds Vectors only for what it returns.
-Overflow raises ValueError. rT r is checked after initialization and after
-every step, which covers r; d and phi are checked once, on return. Nothing
+with linalg's private kernels, in place on one workspace of five float64
+arrays: phi, r, d, A d and a scratch array for each intermediate. Every
+update keeps the expression order of phi + alpha d, r - alpha A d and
+r + beta d (the scaled term goes into scratch, or into d itself, then is
+added), so the bits are those of fresh arrays. The operator is bound to
+the workspace once per solve, reading d and writing A d; a compressed-row
+operator's sliced passes become views of d, A d and scratch then, so a
+step on the heat matrix allocates nothing but the running sums' prefixes
+(a dense product still forms its N x N terms). A breakdown is raised
+before phi, r or d change. cg_solve allocates the workspace once; cg_init
+and cg_step, at the API edge, once per call, copying the state in so that
+no input changes. Each returned Vector owns one workspace array of N
+floats, and nothing keeps the rest reachable.
+
+cg_init, cg_step and cg_solve each check their inputs once, enter numpy's
+errstate once, and build Vectors only for what they return. Overflow
+raises ValueError. rT r is checked after initialization and after every
+step, which covers r; d and phi are checked once, on return. Nothing
 escapes: a non-finite d reaches r within one step, through 0 * inf or
 inf - inf, and a non-finite phi stays non-finite.
 
 The operator is an N x N DenseMatrix or CrsMatrix, N = len(b), or a
 callable from a column Vector to a column Vector of the same length. Each
-result of a callable is checked; TypeError or ValueError names it. Dense
-and compressed-row operators for the same matrix yield bitwise identical
-iterates (see linalg).
+result of a callable is checked; TypeError or ValueError names it, and its
+components are copied into A d. A callable receives a Vector over its own
+copy of d, never over the workspace: Vectors are immutable, and a callable
+may keep what it is given (or return it), so d changing in place must not
+show through. Dense and compressed-row operators for the same matrix
+yield bitwise identical iterates (see linalg).
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ import numpy as np
 from . import linalg
 from ._checks import checked_count, checked_real
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
-from .linalg import _crs_product, _dense_product, _finite
+from .linalg import _crs_kernel, _dense_product, _finite
 
 __all__ = [
     "CgBreakdownError",
@@ -52,7 +68,7 @@ __all__ = [
 
 ApplyA = Callable[[Vector], Vector]
 OperatorLike = Union[DenseMatrix, CrsMatrix, ApplyA]
-_Product = Callable[[np.ndarray], np.ndarray]
+_Product = Callable[[], np.ndarray]
 
 # Not linalg's errstate object: a callable operator runs linalg's kernels
 # inside a solve, and numpy 1.x cannot nest one errstate object in itself.
@@ -67,23 +83,26 @@ class CgBreakdownError(ArithmeticError):
     """
 
 
-def _as_operator(operator: OperatorLike, n: int) -> _Product:
-    """The operator as a function on float64 arrays; a matrix must be n x n."""
+def _bind(operator: OperatorLike, n: int, x: np.ndarray, out: np.ndarray,
+          scratch: np.ndarray) -> _Product:
+    """The operator bound to arrays: each call writes A x into out; a matrix must be n x n."""
     if isinstance(operator, (DenseMatrix, CrsMatrix)):
         if (operator.rows, operator.cols) != (n, n):
             raise ValueError(
                 f"operator must be {n}x{n} like b, got {operator.rows}x{operator.cols}"
             )
-        product = _dense_product if isinstance(operator, DenseMatrix) else _crs_product
-        return lambda x: product(operator, x)
+        if isinstance(operator, DenseMatrix):
+            return lambda: _dense_product(operator, x, out)
+        return _crs_kernel(operator, x, out, scratch)
     if not callable(operator):
         raise TypeError(
             f"operator must be a DenseMatrix, a CrsMatrix, or a callable, "
             f"got {type(operator).__name__}"
         )
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = operator(Vector._trusted(x, Orientation.COLUMN))
+    def apply() -> np.ndarray:
+        # a copy: x changes in place, and a callable may keep the Vector it is given
+        y = operator(Vector._trusted(x.copy(), Orientation.COLUMN))
         if not isinstance(y, Vector):
             raise TypeError(f"operator {operator!r} returned {type(y).__name__}, not a Vector")
         if y.orientation is not Orientation.COLUMN or len(y) != n:
@@ -91,7 +110,8 @@ def _as_operator(operator: OperatorLike, n: int) -> _Product:
                 f"operator {operator!r} returned a {y.orientation.value} Vector of "
                 f"length {len(y)}, not a column of length {n}"
             )
-        return y._array
+        np.copyto(out, y._array)
+        return out
 
     return apply
 
@@ -164,50 +184,65 @@ class CgResult:
     breakdown: bool = False
 
 
-def _start(
-    operator: OperatorLike, b: Vector, x0: Vector
-) -> tuple[_Product, np.ndarray, float]:
-    """Check the inputs once; the operator on arrays, r = b - A x0 and rT r."""
+class _Workspace:
+    """The arrays of one solve, phi, r, d, A d and scratch, and the operator bound to them."""
+
+    __slots__ = ("phi", "r", "d", "ad", "scratch", "product")
+
+    def __init__(self, operator: OperatorLike, n: int) -> None:
+        self.phi, self.r, self.d, self.ad, self.scratch = (np.empty(n) for _ in range(5))
+        self.product = _bind(operator, n, self.d, self.ad, self.scratch)
+
+
+def _start(operator: OperatorLike, b: Vector, x0: Vector) -> tuple[_Workspace, float]:
+    """Check the inputs once; a workspace holding phi = x0 and r = d = b - A x0, and rT r."""
     _require_column(b, "b")
-    apply_a = _as_operator(operator, len(b))
+    ws = _Workspace(operator, len(b))
     _require_column(x0, "x0")
     if len(b) != len(x0):
         raise ValueError(
             f"cg_init: b and x0 lengths must match, got {len(b)} and {len(x0)}"
         )
-    r = b._array - apply_a(x0._array)
-    return apply_a, r, _r_dot_r(r)
+    np.copyto(ws.phi, x0._array)
+    np.copyto(ws.d, x0._array)
+    np.subtract(b._array, ws.product(), out=ws.r)
+    np.copyto(ws.d, ws.r)
+    return ws, _r_dot_r(ws.r, ws.scratch)
 
 
-def _r_dot_r(r: np.ndarray) -> float:
+def _r_dot_r(r: np.ndarray, scratch: np.ndarray) -> float:
     """rT r, which must be finite; then every component of r is finite too."""
-    r_dot_r = linalg._running_sum(r * r)
+    r_dot_r = linalg._running_sum(np.multiply(r, r, out=scratch))
     if not math.isfinite(r_dot_r):
         raise ValueError(f"cg: rT r overflowed to {r_dot_r!r}")
     return r_dot_r
 
 
-def _step(apply_a: _Product, phi: np.ndarray, r: np.ndarray, d: np.ndarray,
-          r_dot_r: float, n: int) -> tuple:
-    """Step n + 1 on arrays: phi, r, d, rT r, alpha and beta after it."""
-    ad = apply_a(d)
-    d_dot_r = linalg._running_sum(d * r)
-    d_dot_ad = linalg._running_sum(d * ad)
+def _step(ws: _Workspace, r_dot_r: float, n: int) -> tuple[float, float, float]:
+    """Step n + 1 in place on the workspace; rT r, alpha and beta after it.
+
+    A breakdown raises before phi, r or d change, so they still hold step n.
+    """
+    phi, r, d, ad, scratch = ws.phi, ws.r, ws.d, ws.ad, ws.scratch
+    ws.product()
+    d_dot_r = linalg._running_sum(np.multiply(d, r, out=scratch))
+    d_dot_ad = linalg._running_sum(np.multiply(d, ad, out=scratch))
     if d_dot_ad == 0.0:
         raise CgBreakdownError(
             f"dT A d is exactly zero at iteration {n}; "
             f"operator is degenerate or not positive definite"
         )
-    alpha = d_dot_r / d_dot_ad
-    phi = phi + alpha * d
     if r_dot_r == 0.0:
         raise CgBreakdownError(
             f"rT r is exactly zero at iteration {n}; residual already vanished"
         )
-    r = r - alpha * ad
-    r_dot_r_next = _r_dot_r(r)
+    alpha = d_dot_r / d_dot_ad
+    np.add(phi, np.multiply(alpha, d, out=scratch), out=phi)
+    np.subtract(r, np.multiply(alpha, ad, out=scratch), out=r)
+    r_dot_r_next = _r_dot_r(r, scratch)
     beta = r_dot_r_next / r_dot_r
-    return phi, r, r + beta * d, r_dot_r_next, alpha, beta
+    np.add(r, np.multiply(beta, d, out=d), out=d)
+    return r_dot_r_next, alpha, beta
 
 
 def _column(array: np.ndarray, op: str) -> Vector:
@@ -217,8 +252,8 @@ def _column(array: np.ndarray, op: str) -> Vector:
 @_quiet
 def cg_init(operator: OperatorLike, b: Vector, x0: Vector) -> CgState:
     """Initial state: phi = x0, r = d = b - A x0, counters at zero."""
-    _, r, r_dot_r = _start(operator, b, x0)
-    r = Vector._trusted(r, Orientation.COLUMN)
+    ws, r_dot_r = _start(operator, b, x0)
+    r = Vector._trusted(ws.r, Orientation.COLUMN)
     return CgState(phi=x0, r=r, d=r, alpha=0.0, beta=0.0, n=0, r_dot_r=r_dot_r)
 
 
@@ -229,13 +264,14 @@ def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     Raises CgBreakdownError when dT A d or rT r is exactly zero (no
     epsilon test: an SPD operator only produces zero for a zero vector).
     """
-    phi, r, d, r_dot_r, alpha, beta = _step(
-        _as_operator(operator, len(state.d)),
-        state.phi._array, state.r._array, state.d._array, state.r_dot_r, state.n,
-    )
+    ws = _Workspace(operator, len(state.d))
+    np.copyto(ws.phi, state.phi._array)
+    np.copyto(ws.r, state.r._array)
+    np.copyto(ws.d, state.d._array)
+    r_dot_r, alpha, beta = _step(ws, state.r_dot_r, state.n)
     return CgState(
-        phi=_column(phi, "cg_step"), r=Vector._trusted(r, Orientation.COLUMN),
-        d=_column(d, "cg_step"), alpha=alpha, beta=beta, n=state.n + 1, r_dot_r=r_dot_r,
+        phi=_column(ws.phi, "cg_step"), r=Vector._trusted(ws.r, Orientation.COLUMN),
+        d=_column(ws.d, "cg_step"), alpha=alpha, beta=beta, n=state.n + 1, r_dot_r=r_dot_r,
     )
 
 
@@ -253,20 +289,20 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     x0 = config.initial_guess
     if x0 is None:
         x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
-    apply_a, r, r_dot_r = _start(operator, b, x0)
-    phi, d, n, breakdown = x0._array, r, 0, False
+    ws, r_dot_r = _start(operator, b, x0)
+    n, breakdown = 0, False
     residual_norm = math.sqrt(r_dot_r)
     while residual_norm > config.tolerance and n < config.max_iterations:
         try:
-            phi, r, d, r_dot_r, _, _ = _step(apply_a, phi, r, d, r_dot_r, n)
+            r_dot_r, _, _ = _step(ws, r_dot_r, n)
         except CgBreakdownError:
             breakdown = True
             break
         n += 1
         residual_norm = math.sqrt(r_dot_r)
-    _finite(d, "cg_solve")
+    _finite(ws.d, "cg_solve")
     return CgResult(
-        solution=_column(phi, "cg_solve"),
+        solution=_column(ws.phi, "cg_solve"),
         iterations=n,
         residual_norm=residual_norm,
         converged=residual_norm <= config.tolerance,

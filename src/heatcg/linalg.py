@@ -34,9 +34,9 @@ left-to-right loop on most random vectors. add.accumulate's order is an
 implementation property rather than a documented numpy guarantee; tests
 pin it against a pure-Python loop on the installed numpy.
 
-Values are immutable: every operation returns a new object and never
-mutates its inputs. Preconditions fail fast with a diagnostic naming the
-offending dimensions; element access never wraps around (no negative
+Values are immutable: every public operation returns a new object and
+never mutates its inputs. Preconditions fail fast with a diagnostic naming
+the offending dimensions; element access never wraps around (no negative
 indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
@@ -49,16 +49,21 @@ rearrange checked values and check nothing. numpy's floating-point
 warnings are silenced inside the kernels so that ValueError is the report.
 
 Each operation has one kernel, on arrays and unchecked: _dense_product,
-_crs_product and _running_sum. The public functions add the checks and
-Vectors around them. The CG loop (cgsolver) calls the same three kernels
-directly, enters errstate once per call and checks for overflow itself.
+_crs_kernel and _running_sum. A kernel writes only into the output (and
+scratch) arrays its caller gives it, and _running_sum writes nothing.
+_crs_kernel binds a matrix's passes to its arrays once and returns the
+product as a function of no arguments, so the CG loop, which multiplies
+the same arrays at every step, allocates nothing per product. The public
+functions add the checks and Vectors around the kernels and give them
+fresh arrays (_crs_product(m, x) does so for _crs_kernel). The CG loop
+(cgsolver) enters errstate once per call and checks for overflow itself.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -543,21 +548,23 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
-def _dense_product(m: DenseMatrix, x: np.ndarray) -> np.ndarray:
-    """m times x, each row a running sum in column order; unchecked."""
+def _dense_product(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write m times x into out, each row a running sum in column order; unchecked."""
     if not m.cols:
-        return np.zeros(m.rows)
+        out.fill(0.0)
+        return out
     terms = m._grid * x
     # in place: a second rows x cols buffer roughly doubles the time at N = 200
     np.add.accumulate(terms, axis=1, out=terms)
-    return terms[:, -1] + 0.0
+    return np.add(terms[:, -1], 0.0, out=out)
 
 
 @_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
     _require_column_operand(m.cols, v)
-    return Vector._trusted(_finite(_dense_product(m, v._array), "matvec"), Orientation.COLUMN)
+    product = _dense_product(m, v._array, np.empty(m.rows))
+    return Vector._trusted(_finite(product, "matvec"), Orientation.COLUMN)
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
@@ -568,12 +575,40 @@ def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     return CrsMatrix._trusted(m.rows, m.cols, m._grid[rows, cols], cols, row_ptr)
 
 
-def _crs_product(m: CrsMatrix, x: np.ndarray) -> np.ndarray:
-    """m times x over the matrix's passes, each row from +0.0; unchecked."""
-    acc = np.zeros(m.rows)
+def _crs_kernel(
+    m: CrsMatrix, x: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> Callable[[], np.ndarray]:
+    """m times x over the matrix's passes, bound to these arrays; unchecked.
+
+    The returned function writes the product into out, each row from +0.0,
+    and returns out. A sliced pass is bound here, once, to views of out, x
+    and scratch (at least as long as the longest pass), so it runs as one
+    multiply into scratch and one add into out and allocates nothing; a
+    gathering pass indexes out[rows] += values * x[cols] on each call. out
+    must not overlap x.
+    """
+    bound = []  # a loop: a generator expression costs twice as much per call
     for rows, values, cols in m._passes:
-        acc[rows] += values * x[cols]
-    return acc
+        if isinstance(rows, slice):
+            bound.append((out[rows], values, x[cols], scratch[: len(values)]))
+        else:
+            bound.append((rows, values, cols, None))
+
+    def product() -> np.ndarray:
+        out.fill(0.0)
+        for target, values, source, terms in bound:
+            if terms is None:  # target and source index out and x
+                out[target] += values * x[source]
+            else:  # target and source are views of out and x
+                np.add(target, np.multiply(values, source, out=terms), out=target)
+        return out
+
+    return product
+
+
+def _crs_product(m: CrsMatrix, x: np.ndarray) -> np.ndarray:
+    """m times x into a fresh array, by the same kernel; unchecked."""
+    return _crs_kernel(m, x, np.empty(m.rows), np.empty(m.rows))()
 
 
 @_quiet
