@@ -7,7 +7,8 @@ def checked_real(value: object, label: str, sign: str = "") -> float:
     """Return value unchanged if it is a finite int or float, never a bool.
 
     sign "positive" also requires value > 0, "non-negative" value >= 0.
-    Ints are not converted, so an int beyond the float range still passes.
+    Ints are not converted, so an int beyond the float range still passes;
+    checked_float rejects it.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
@@ -19,6 +20,17 @@ def checked_real(value: object, label: str, sign: str = "") -> float:
         kind = f"finite {sign} real" if sign else "finite real"
         raise ValueError(f"{label} must be a {kind}, got {value!r}")
     return value
+
+
+def checked_float(value: object, label: str, sign: str = "") -> float:
+    """checked_real(value, label, sign) as a float; an int beyond its range is a ValueError."""
+    checked_real(value, label, sign)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{label} must be a finite real, got an int beyond the float range"
+        ) from None
 
 
 def checked_count(value: object, label: str, minimum: int = 0) -> int:

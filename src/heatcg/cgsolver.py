@@ -12,26 +12,16 @@ norm is at or below the tolerance, checked after initialization and after
 every step.
 
 One loop body, _step, runs these recurrences (Hestenes and Stiefel, 1952)
-with linalg's private kernels, in place on one workspace of five float64
-arrays: phi, r, d, A d and a scratch array for each intermediate. Every
-update keeps the expression order of phi + alpha d, r - alpha A d and
-r + beta d (the scaled term goes into scratch, or into d itself, then is
-added), so the bits are those of fresh arrays. The operator is bound to
-the workspace once per solve, reading d and writing A d; a compressed-row
-operator's sliced passes become views of d, A d and scratch then, so a
-step on the heat matrix allocates nothing but the running sums' prefixes
-(a dense product still forms its N x N terms). A breakdown is raised
-before phi, r or d change. cg_solve allocates the workspace once; cg_init
-and cg_step, at the API edge, once per call, copying the state in so that
-no input changes. Each returned Vector owns one workspace array of N
-floats, and nothing keeps the rest reachable.
+in place on one workspace per solve (per call for cg_init and cg_step),
+keeping the expression order of phi + alpha d, r - alpha A d and
+r + beta d, so the bits are those of fresh arrays. A breakdown is raised
+before phi, r or d change. No input changes, and each returned Vector
+owns N floats.
 
-cg_init, cg_step and cg_solve each check their inputs once, enter numpy's
-errstate once, and build Vectors only for what they return. Overflow
-raises ValueError. rT r is checked after initialization and after every
-step, which covers r; d and phi are checked once, on return. Nothing
-escapes: a non-finite d reaches r within one step, through 0 * inf or
-inf - inf, and a non-finite phi stays non-finite.
+Overflow raises ValueError. rT r is checked after initialization and
+after every step, which covers r; d and phi are checked once, on return.
+Nothing escapes: a non-finite d reaches r within one step, through 0 * inf
+or inf - inf, and a non-finite phi stays non-finite.
 
 The operator is an N x N DenseMatrix or CrsMatrix, N = len(b), or a
 callable from a column Vector to a column Vector of the same length. Each
@@ -185,28 +175,28 @@ class CgResult:
 
 
 class _Workspace:
-    """The arrays of one solve, phi, r, d, A d and scratch, and the operator bound to them."""
+    """Copies of phi, r and d, then A d and scratch, and the operator bound to them."""
 
     __slots__ = ("phi", "r", "d", "ad", "scratch", "product")
 
-    def __init__(self, operator: OperatorLike, n: int) -> None:
-        self.phi, self.r, self.d, self.ad, self.scratch = (np.empty(n) for _ in range(5))
-        self.product = _bind(operator, n, self.d, self.ad, self.scratch)
+    def __init__(self, operator: OperatorLike, phi: np.ndarray, r: np.ndarray,
+                 d: np.ndarray) -> None:
+        self.phi, self.r, self.d = phi.copy(), r.copy(), d.copy()
+        self.ad, self.scratch = np.empty(len(d)), np.empty(len(d))
+        self.product = _bind(operator, len(d), self.d, self.ad, self.scratch)
 
 
 def _start(operator: OperatorLike, b: Vector, x0: Vector) -> tuple[_Workspace, float]:
     """Check the inputs once; a workspace holding phi = x0 and r = d = b - A x0, and rT r."""
     _require_column(b, "b")
-    ws = _Workspace(operator, len(b))
     _require_column(x0, "x0")
     if len(b) != len(x0):
         raise ValueError(
             f"cg_init: b and x0 lengths must match, got {len(b)} and {len(x0)}"
         )
-    np.copyto(ws.phi, x0._array)
-    np.copyto(ws.d, x0._array)
+    ws = _Workspace(operator, x0._array, x0._array, x0._array)
     np.subtract(b._array, ws.product(), out=ws.r)
-    np.copyto(ws.d, ws.r)
+    np.subtract(b._array, ws.ad, out=ws.d)
     return ws, _r_dot_r(ws.r, ws.scratch)
 
 
@@ -264,10 +254,7 @@ def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     Raises CgBreakdownError when dT A d or rT r is exactly zero (no
     epsilon test: an SPD operator only produces zero for a zero vector).
     """
-    ws = _Workspace(operator, len(state.d))
-    np.copyto(ws.phi, state.phi._array)
-    np.copyto(ws.r, state.r._array)
-    np.copyto(ws.d, state.d._array)
+    ws = _Workspace(operator, state.phi._array, state.r._array, state.d._array)
     r_dot_r, alpha, beta = _step(ws, state.r_dot_r, state.n)
     return CgState(
         phi=_column(ws.phi, "cg_step"), r=Vector._trusted(ws.r, Orientation.COLUMN),

@@ -23,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._checks import checked_count, checked_real
+from ._checks import checked_count, checked_float
 from .cgsolver import CgConfig, CgResult, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
 from .linalg import _finite, _quiet
@@ -54,11 +54,11 @@ class HeatProblem:
     boundary_right: float = 1.0
 
     def __post_init__(self) -> None:
-        checked_real(self.gamma, "gamma", "positive")
-        checked_real(self.domain_length, "domain_length", "positive")
+        # kept as floats: int arithmetic, such as the boundary span, raises OverflowError, not inf
+        for name, sign in (("gamma", "positive"), ("domain_length", "positive"),
+                           ("boundary_left", ""), ("boundary_right", "")):
+            object.__setattr__(self, name, checked_float(getattr(self, name), name, sign))
         checked_count(self.number_of_cells, "number_of_cells", 1)
-        checked_real(self.boundary_left, "boundary_left")
-        checked_real(self.boundary_right, "boundary_right")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class StencilCoefficients:
     s_u: float
 
     def __post_init__(self) -> None:
-        checked_real(self.dx, "dx", "positive")
+        checked_float(self.dx, "dx", "positive")
         if not (self.a_w == self.a_e):
             raise ValueError(f"a_w must equal a_e, got {self.a_w!r} and {self.a_e!r}")
         if self.a_p != self.a_w + self.a_e:

@@ -17,12 +17,13 @@ expression whose summation order is pinned:
   prefix of [-0.0, -0.0] is -0.0 where the loop gives 0.0, and adding
   +0.0 changes no other value.
 - The sparse product runs passes built once per matrix,
-  acc[rows] += vals * x[cols], each holding at most one entry per row:
-  one pass per diagonal (offset col - row, increasing), indexed by slices
-  where the diagonal's rows are contiguous, or, when there are more
-  diagonals than entries in the longest row, one pass per stored position
-  k of every row. Either way each row adds its stored entries in
-  increasing column order to an accumulator that starts at +0.0.
+  acc[rows] += vals * x[cols], each holding at most one entry per row.
+  One rule groups the entries by a key, in increasing key order: the
+  diagonal offset col - row, or, when there are more diagonals than
+  entries in the longest row, the position k in the row. A group on
+  contiguous rows and one diagonal is indexed by slices. Either way each
+  row adds its stored entries in increasing column order to an
+  accumulator that starts at +0.0.
 
 A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
@@ -67,7 +68,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._checks import checked_count, checked_real
+from ._checks import checked_count, checked_float
 
 __all__ = [
     "Orientation",
@@ -102,7 +103,10 @@ def _checked_components(values: Iterable[float], context: str) -> tuple[float, .
             raise TypeError(
                 f"{context}: component {i} must be a real number, got {type(x).__name__}"
             )
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the float range; the label is built only here
+            x = checked_float(x, f"{context}: component {i}")
         if not math.isfinite(x):
             raise ValueError(f"{context}: component {i} must be finite, got {x!r}")
         out.append(x)
@@ -416,51 +420,37 @@ def _product_passes(
 ) -> tuple[tuple, ...]:
     """The (rows, values, cols) passes of the sparse product, built once per matrix.
 
-    Each pass holds at most one stored entry per row, and the passes run so
-    that every row adds its entries in increasing column order. Entries
-    are grouped by diagonal (offset col - row, in increasing order); a
-    diagonal whose rows are contiguous indexes by slices and gathers
-    nothing, so the tridiagonal heat matrix runs as 3 sliced passes. A
-    general pattern can have up to rows + cols - 1 diagonals, so when there
-    are more diagonals than entries in the longest row, the position sweep,
-    one pass per entry of the longest row, is used instead: numpy's cost
-    per pass dominates below a few hundred entries. The grouping sorts the
-    offsets once: O(nnz) memory, none sized by cols or by the offset range.
+    One rule groups the entries by a key: the diagonal offset col - row,
+    or, when there are more diagonals than entries in the longest row (a
+    general pattern can have rows + cols - 1), the position k in the row,
+    which keeps the pass count at the longest row's: numpy's cost per pass
+    dominates below a few hundred entries. A group holds at most one entry
+    per row and the groups run in increasing key order, so every row adds
+    its entries in increasing column order. A group on contiguous rows and
+    one diagonal indexes by slices, so the heat matrix runs as 3 sliced
+    passes. O(nnz) memory, none sized by cols or by the offset range.
     """
     if not len(values):
         return ()
     lengths = np.diff(row_ptr)
     rows = np.repeat(np.arange(len(lengths)), lengths)
     offsets = col_indices - rows
-    order = np.argsort(offsets, kind="stable")  # stable: rows stay increasing
-    bounds = np.flatnonzero(np.diff(offsets[order])) + 1
-    if len(bounds) + 1 > lengths.max():
-        return _position_sweep(values, col_indices, row_ptr, lengths)
+    for by_position in (False, True):
+        key = np.arange(len(values)) - row_ptr[rows] if by_position else offsets
+        order = np.argsort(key, kind="stable")  # stable: rows stay increasing
+        bounds = np.flatnonzero(np.diff(key[order])) + 1
+        if len(bounds) < lengths.max():
+            break
     passes = []
     for group in np.split(order, bounds):
         first, last, offset = int(rows[group[0]]), int(rows[group[-1]]), int(offsets[group[0]])
-        if last - first == len(group) - 1:
+        # every group by offset lies on one diagonal; a group by position may
+        if last - first == len(group) - 1 and (not by_position or (offsets[group] == offset).all()):
             passes.append((slice(first, last + 1), values[group],
                            slice(first + offset, last + 1 + offset)))
         else:
             passes.append((rows[group], values[group], col_indices[group]))
     return tuple(passes)
-
-
-def _position_sweep(
-    values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray, lengths: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per stored position k: the rows with more than k entries, and their k-th value and column.
-
-    Together the positions hold each stored entry once, so the sweep takes
-    O(nnz) memory.
-    """
-    sweep = []
-    for k in range(int(lengths.max())):
-        rows = np.flatnonzero(lengths > k)
-        at = row_ptr[rows] + k
-        sweep.append((rows, values[at], col_indices[at]))
-    return tuple(sweep)
 
 
 def _finite(array: np.ndarray, op: str) -> np.ndarray:
@@ -480,7 +470,7 @@ def _running_sum(terms: np.ndarray) -> float:
 @_quiet
 def vec_scale(s: float, v: Vector) -> Vector:
     """Scale every component; orientation is preserved."""
-    s = float(checked_real(s, "scale factor"))
+    s = checked_float(s, "scale factor")
     return Vector._trusted(_finite(s * v._array, "vec_scale"), v.orientation)
 
 
@@ -532,7 +522,7 @@ def l2_norm(v: Vector) -> float:
 @_quiet
 def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
     """Scale every entry; shape is preserved."""
-    grid = float(checked_real(s, "scale factor")) * m._grid
+    grid = checked_float(s, "scale factor") * m._grid
     return DenseMatrix._trusted(m.rows, m.cols, _finite(grid, "mat_scale"))
 
 

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from ._checks import checked_real
+from ._checks import checked_float, checked_real
 
 __all__ = [
     "Precision",
@@ -60,7 +60,7 @@ class FloatCompareSpec:
     precision_kind: Precision = Precision.DOUBLE
 
     def __post_init__(self) -> None:
-        checked_real(self.tolerance_multiplier, "tolerance_multiplier", "positive")
+        checked_float(self.tolerance_multiplier, "tolerance_multiplier", "positive")
         if not isinstance(self.precision_kind, Precision):
             raise TypeError(
                 f"precision_kind must be a Precision, got {type(self.precision_kind).__name__}"

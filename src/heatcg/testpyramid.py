@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from ._checks import checked_real
+from ._checks import checked_float, checked_real
 
 __all__ = [
     "Layer",
@@ -100,8 +100,8 @@ class TestRecord:
             raise ValueError("name must be non-empty")
         if "\n" in self.name or "\r" in self.name:
             raise ValueError(f"name must not contain line breaks: {self.name!r}")
-        duration = checked_real(self.duration_ms, "duration_ms", "non-negative")
-        object.__setattr__(self, "duration_ms", float(duration))
+        duration = checked_float(self.duration_ms, "duration_ms", "non-negative")
+        object.__setattr__(self, "duration_ms", duration)
 
 
 @dataclass(frozen=True)
