@@ -82,7 +82,8 @@ def _bind(operator: OperatorLike, n: int, x: np.ndarray, out: np.ndarray,
                 f"operator must be {n}x{n} like b, got {operator.rows}x{operator.cols}"
             )
         if isinstance(operator, DenseMatrix):
-            return lambda: _dense_product(operator, x, out)
+            terms = np.empty((n, n))
+            return lambda: _dense_product(operator, x, out, terms)
         return _crs_kernel(operator, x, out, scratch)
     if not callable(operator):
         raise TypeError(

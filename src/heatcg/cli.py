@@ -6,9 +6,10 @@ codes: 0 success, 1 failed check (non-convergence, error above threshold,
 failing or slow tests), 2 invalid options, unreadable/malformed input, an
 unwritable --out file, a problem whose assembly or solve overflows
 binary64, or one too large to allocate (a dense solve holds two N x N
-grids, the matrix and one product's terms, and is refused before
-allocating when they exceed the machine's physical memory; --storage crs
-takes O(N)), 3 pyramid ordering violation.
+grids, the matrix and the terms buffer that its products share, allocated
+once per solve, and is refused before allocating when they exceed the
+machine's physical memory; --storage crs takes O(N)), 3 pyramid ordering
+violation.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -129,7 +130,7 @@ def _heat_command(
             need, memory = 16 * args.cells**2, _physical_memory()
             if memory is not None and need > memory:
                 print(f"error: a dense solve at N = {args.cells} needs {need} bytes "
-                      f"(the N x N matrix and one product's terms), more than this "
+                      f"(the N x N matrix and the products' N x N terms), more than this "
                       f"machine's {memory}; --storage crs needs O(N) memory",
                       file=sys.stderr)
                 return 2

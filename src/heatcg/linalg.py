@@ -9,13 +9,20 @@ expression whose summation order is pinned:
 
 - Elementwise +, - and * are exact per element, so vec_scale, vec_add
   and vec_sub cannot depend on any order.
-- Every reduction (dot, l2_norm, a row of the dense product) is a running
-  sum, np.add.accumulate(terms)[-1] + 0.0 (np.cumsum computes the same
-  bits behind a slower Python wrapper). Each prefix is an output, formed
-  from the previous one, so the terms are added left to right in index
-  order. The "+ 0.0" reproduces a loop that starts at +0.0: the last
-  prefix of [-0.0, -0.0] is -0.0 where the loop gives 0.0, and adding
-  +0.0 changes no other value.
+- Every reduction of one vector (dot, l2_norm) is a running sum,
+  np.add.accumulate(terms)[-1] + 0.0 (np.cumsum computes the same bits
+  behind a slower Python wrapper). Each prefix is an output, formed from
+  the previous one, so the terms are added left to right in index order.
+  The "+ 0.0" reproduces a loop that starts at +0.0: the last prefix of
+  [-0.0, -0.0] is -0.0 where the loop gives 0.0, and adding +0.0 changes
+  no other value.
+- The dense product reduces many rows at once: np.add.reduce(terms,
+  axis=0) + 0.0 over a C-contiguous cols x rows array of terms, one lane
+  per row. numpy reduces an outer axis as one elementwise add of each
+  column j into all the lanes, so every lane adds its terms in column
+  order, and its bits are its running sum's. A single lane would collapse
+  into a contiguous reduction, which numpy sums pairwise, so one row is a
+  running sum instead.
 - The sparse product runs passes built once per matrix,
   acc[rows] += vals * x[cols], each holding at most one entry per row.
   One rule groups the entries by a key, in increasing key order: the
@@ -29,11 +36,13 @@ A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
 the same matrix. Several tests and the solver rely on that contract, so
-np.dot, np.sum, add.reduce and the @ operator stay banned: their order is
-unspecified (pairwise, blocked or BLAS), and np.dot disagrees with the
-left-to-right loop on most random vectors. add.accumulate's order is an
-implementation property rather than a documented numpy guarantee; tests
-pin it against a pure-Python loop on the installed numpy.
+np.dot, np.sum and the @ operator stay banned, and add.reduce is allowed
+only over the outer axis of a C-contiguous array with at least two lanes:
+elsewhere its order is unspecified (pairwise, blocked or BLAS), and
+np.dot disagrees with the left-to-right loop on most random vectors. The
+orders of add.accumulate and of an outer-axis add.reduce are
+implementation properties rather than documented numpy guarantees; tests
+pin both against a pure-Python loop on the installed numpy.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -53,7 +62,8 @@ Each operation has one kernel, on arrays and unchecked: _dense_product,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
 scratch) arrays its caller gives it, and _running_sum writes nothing.
 _crs_kernel binds a matrix's passes to its arrays once and returns the
-product as a function of no arguments, so the CG loop, which multiplies
+product as a function of no arguments, and cgsolver gives _dense_product
+one cols x rows terms buffer per solve, so the CG loop, which multiplies
 the same arrays at every step, allocates nothing per product. The public
 functions add the checks and Vectors around the kernels and give them
 fresh arrays (_crs_product(m, x) does so for _crs_kernel). The CG loop
@@ -204,7 +214,12 @@ class Vector:
 
 
 class DenseMatrix:
-    """Immutable dense matrix, a rows x cols float64 array read row-major."""
+    """Immutable dense matrix, a rows x cols float64 array stored column-major, read row-major.
+
+    The product multiplies the grid's transpose, which column-major
+    storage makes a C-contiguous cols x rows array; entries, to_rows, at,
+    equality, hash and repr read the grid row-major whatever its layout.
+    """
 
     __slots__ = ("_rows", "_cols", "_grid")
 
@@ -218,7 +233,8 @@ class DenseMatrix:
                 f"DenseMatrix {self._rows}x{self._cols} needs {expected} entries, "
                 f"got {len(checked)}"
             )
-        self._grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
+        grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
+        self._grid = np.asfortranarray(grid)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, grid: np.ndarray) -> "DenseMatrix":
@@ -392,7 +408,7 @@ class CrsMatrix:
         return len(self._values)
 
     def to_dense(self) -> DenseMatrix:
-        grid = np.zeros((self._rows, self._cols))
+        grid = np.zeros((self._rows, self._cols), order="F")
         rows = np.repeat(np.arange(self._rows), np.diff(self._row_ptr))
         grid[rows, self._col_indices] = self._values
         return DenseMatrix._trusted(self._rows, self._cols, grid)
@@ -538,22 +554,28 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
-def _dense_product(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write m times x into out, each row a running sum in column order; unchecked."""
-    if not m.cols:
-        out.fill(0.0)
+def _dense_product(m: DenseMatrix, x: np.ndarray, out: np.ndarray,
+                   terms: np.ndarray) -> np.ndarray:
+    """Write m times x into out, each row a running sum in column order; unchecked.
+
+    terms is C-contiguous scratch of m.cols x m.rows floats; it takes
+    terms[j, i] = grid[i, j] * x[j], and the reduce over axis 0 adds each
+    column j into every row's lane in turn.
+    """
+    np.multiply(m._grid.T, x[:, None], out=terms)
+    if m.rows == 1:  # one lane: numpy would sum the contiguous column pairwise
+        out[0] = _running_sum(terms[:, 0])
         return out
-    terms = m._grid * x
-    # in place: a second rows x cols buffer roughly doubles the time at N = 200
-    np.add.accumulate(terms, axis=1, out=terms)
-    return np.add(terms[:, -1], 0.0, out=out)
+    np.add.reduce(terms, axis=0, out=out)
+    # a numpy that starts the reduce from the first term, not +0.0, can end at -0.0
+    return np.add(out, 0.0, out=out)
 
 
 @_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
     _require_column_operand(m.cols, v)
-    product = _dense_product(m, v._array, np.empty(m.rows))
+    product = _dense_product(m, v._array, np.empty(m.rows), np.empty((m.cols, m.rows)))
     return Vector._trusted(_finite(product, "matvec"), Orientation.COLUMN)
 
 
