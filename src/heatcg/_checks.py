@@ -10,7 +10,9 @@ def checked_real(value: object, label: str, sign: str = "") -> float:
     Ints are not converted, so an int beyond the float range still passes;
     checked_float rejects it.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float) and (  # a plain int or float skips both isinstance calls
+        isinstance(value, bool) or not isinstance(value, (int, float))
+    ):
         raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
     if (
         (isinstance(value, float) and not math.isfinite(value))
@@ -24,9 +26,8 @@ def checked_real(value: object, label: str, sign: str = "") -> float:
 
 def checked_float(value: object, label: str, sign: str = "") -> float:
     """checked_real(value, label, sign) as a float; an int beyond its range is a ValueError."""
-    checked_real(value, label, sign)
     try:
-        return float(value)
+        return float(checked_real(value, label, sign))
     except OverflowError:
         raise ValueError(
             f"{label} must be a finite real, got an int beyond the float range"

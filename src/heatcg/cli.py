@@ -60,7 +60,6 @@ def _add_solve_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=1e-10, help="absolute residual tolerance (default 1e-10)")
     sub.add_argument("--storage", choices=("dense", "crs"), default="dense",
                      help="operator storage handed to the solver (default dense)")
-    sub.add_argument("--out", default=None, help="write CSV here instead of standard output")
 
 
 def _physical_memory() -> Optional[int]:
@@ -83,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="solve and emit an x,temperature CSV profile"
     )
     _add_solve_options(solve)
+    solve.add_argument("--out", default=None, help="write CSV here instead of standard output")
     solve.set_defaults(func=cmd_solve, subparser=solve)
 
     verify = commands.add_parser(
@@ -143,7 +143,11 @@ def _heat_command(
             hint = "; --storage crs needs O(N) memory" if args.storage == "dense" else ""
             print(f"error: out of memory: {exc}{hint}", file=sys.stderr)
             return 2
-        return report(args, problem, solution)
+        status, cg = report(args, problem, solution), solution.cg
+        if not (cg.converged or cg.breakdown) and args.max_iters < args.cells:
+            print(f"hint: CG can need N = {args.cells} iterations here, more than "
+                  f"--max-iters {args.max_iters}", file=sys.stderr)
+        return status
 
     return command
 

@@ -50,13 +50,13 @@ the offending dimensions; element access never wraps around (no negative
 indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
-and CrsMatrix constructors check every component. Values heatcg computes
-itself go through the trusted constructors (_trusted) instead. Results of
-arithmetic (the vector kernels, matvec, crs_matvec, mat_scale, heat1d's
-assemble and analytic profile) carry one non-finite check, so overflow
-still raises ValueError; transpose, to_dense and dense_to_crs only
-rearrange checked values and check nothing. numpy's floating-point
-warnings are silenced inside the kernels so that ValueError is the report.
+and CrsMatrix constructors hold every component to the real-number rule
+of _checks.checked_float, the one place that rule lives. Values heatcg
+computes itself go through the trusted constructors (_trusted) instead.
+Results of arithmetic (the vector kernels, matvec, crs_matvec, mat_scale,
+heat1d's assemble and analytic profile) carry one non-finite check, so
+overflow still raises ValueError (see _quiet); transpose, to_dense and
+dense_to_crs only rearrange checked values and check nothing.
 
 Each operation has one kernel, on arrays and unchecked: _dense_product,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
@@ -107,20 +107,14 @@ class Orientation(Enum):
 
 
 def _checked_components(values: Iterable[float], context: str) -> tuple[float, ...]:
-    out = []
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(
-                f"{context}: component {i} must be a real number, got {type(x).__name__}"
-            )
-        try:
-            x = float(x)
-        except OverflowError:  # an int beyond the float range; the label is built only here
-            x = checked_float(x, f"{context}: component {i}")
-        if not math.isfinite(x):
-            raise ValueError(f"{context}: component {i} must be finite, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    values = tuple(values)
+    try:  # a plain finite float passes as it is; the label is built only after a failure
+        return tuple([x if type(x) is float and math.isfinite(x) else checked_float(x, context)
+                      for x in values])
+    except (TypeError, ValueError):
+        for i, x in enumerate(values):
+            checked_float(x, f"{context}: component {i}")
+        raise
 
 
 def _checked_index(value: object, limit: int, label: str) -> int:

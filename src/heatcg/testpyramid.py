@@ -49,23 +49,14 @@ class TestStatus(Enum):
     # not a test case; the attribute stops pytest from trying to collect it
     __test__ = False
 
+    # declared in the order render_report lists them
     OK = "ok"
-    FAIL = "fail"
     EXPECTED_FAIL = "expected_fail"
+    FAIL = "fail"
     UNEXPECTED_PASS = "unexpected_pass"
     SKIPPED = "skipped"
     TIMEOUT = "timeout"
 
-
-# Fixed rendering order and labels for the status summary block.
-_STATUS_LABELS = (
-    (TestStatus.OK, "Ok"),
-    (TestStatus.EXPECTED_FAIL, "Expected Fail"),
-    (TestStatus.FAIL, "Fail"),
-    (TestStatus.UNEXPECTED_PASS, "Unexpected Pass"),
-    (TestStatus.SKIPPED, "Skipped"),
-    (TestStatus.TIMEOUT, "Timeout"),
-)
 
 _LAYER_BY_VALUE = {layer.value: layer for layer in Layer}
 _STATUS_BY_VALUE = {status.value: status for status in TestStatus}
@@ -205,10 +196,7 @@ def pyramid_report(
 
 def render_report(report: PyramidReport) -> str:
     """Deterministic text summary: status counts, layer counts, verdict."""
-    lines = [
-        f"{label}: {report.status_counts[status]}"
-        for status, label in _STATUS_LABELS
-    ]
+    lines = [f"{s.value.replace('_', ' ').title()}: {report.status_counts[s]}" for s in TestStatus]
     lines.extend(f"{layer.value}: {report.layer_counts[layer]}" for layer in Layer)
     lines.extend(f"slow unit test: {name}" for name in report.slow_unit_tests)
     lines.append(f"pyramid: {'OK' if report.pyramid_ok else 'VIOLATED'}")
