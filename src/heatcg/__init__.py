@@ -6,23 +6,24 @@ steady 1D heat equation verified against its analytic solution, and a
 test-pyramid manifest auditor, all behind a single CLI (``heatcg``).
 
 Each module's ``__all__`` is its public API; the package re-exports every
-one of those names, so a name is declared public in one place only.
+one of those names, so a name is declared public in one place only. The
+names load on first use (PEP 562): ``import heatcg`` loads no numpy, so
+``python -m heatcg`` sets up its process before numpy loads.
 """
-
-from . import cgsolver, heat1d, linalg, numkit, testpyramid
-from .cgsolver import *  # noqa: F401,F403
-from .heat1d import *  # noqa: F401,F403
-from .linalg import *  # noqa: F401,F403
-from .numkit import *  # noqa: F401,F403
-from .testpyramid import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *numkit.__all__,
-    *linalg.__all__,
-    *cgsolver.__all__,
-    *heat1d.__all__,
-    *testpyramid.__all__,
-    "__version__",
-]
+# a miss on these lets `from heatcg import cli` import that submodule alone
+_SUBMODULES = {"cgsolver", "cli", "heat1d", "linalg", "numkit", "testpyramid"}
+
+
+def __getattr__(name: str) -> object:
+    if name == "__all__" or not (name.startswith("_") or name in _SUBMODULES):
+        from . import cgsolver, heat1d, linalg, numkit, testpyramid
+
+        modules = (numkit, linalg, cgsolver, heat1d, testpyramid)
+        public = [(key, getattr(module, key)) for module in modules for key in module.__all__]
+        globals().update(public, __all__=[key for key, _ in public] + ["__version__"])
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,18 +22,11 @@ import os
 import sys
 from typing import IO, Callable, Optional, Sequence
 
-from ._checks import checked_real
-from .cgsolver import CgConfig
-from .heat1d import HeatProblem, HeatSolution, cell_centers, solve_heat
-from .testpyramid import (
-    DEFAULT_UNIT_BUDGET_MS,
-    Layer,
-    ManifestError,
-    TestStatus,
-    parse_manifest,
-    pyramid_report,
-    render_report,
+from . import (  # through the package, so importing cli loads all five modules
+    DEFAULT_UNIT_BUDGET_MS, CgConfig, HeatProblem, HeatSolution, Layer, ManifestError,
+    TestStatus, cell_centers, parse_manifest, pyramid_report, render_report, solve_heat,
 )
+from ._checks import checked_real
 
 __all__ = ["build_parser", "main"]
 
@@ -242,6 +235,7 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage of the subcommand that was run
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args)

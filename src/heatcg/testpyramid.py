@@ -87,12 +87,23 @@ class TestRecord:
             )
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a string, got {type(self.name).__name__}")
-        if not self.name:
-            raise ValueError("name must be non-empty")
-        if "\n" in self.name or "\r" in self.name:
-            raise ValueError(f"name must not contain line breaks: {self.name!r}")
+        _check_name(self.name)
         duration = checked_float(self.duration_ms, "duration_ms", "non-negative")
         object.__setattr__(self, "duration_ms", duration)
+
+    @classmethod
+    def _trusted(cls, layer: Layer, name: str, duration_ms: float, status: TestStatus) -> TestRecord:
+        """A record of values its producer has checked, built without re-checking them."""
+        record = object.__new__(cls)
+        record.__dict__.update(layer=layer, name=name, duration_ms=duration_ms, status=status)
+        return record
+
+
+def _check_name(name: str) -> None:
+    if not name:
+        raise ValueError("name must be non-empty")
+    if "\n" in name or "\r" in name:  # csv accepts a quoted line break
+        raise ValueError(f"name must not contain line breaks: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -141,11 +152,11 @@ def parse_manifest(text: str) -> list[TestRecord]:
                 f"line {line}: duration_ms must be a number, got {duration_text!r}"
             ) from None
         try:
-            records.append(
-                TestRecord(layer=layer, name=name, duration_ms=duration, status=status)
-            )
+            _check_name(name)
+            checked_real(duration, "duration_ms", "non-negative")
         except ValueError as exc:
             raise ManifestError(f"line {line}: {exc}") from None
+        records.append(TestRecord._trusted(layer, name, duration, status))
     return records
 
 
