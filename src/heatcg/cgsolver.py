@@ -44,7 +44,7 @@ import numpy as np
 from . import linalg
 from ._checks import checked_count, checked_real
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
-from .linalg import _crs_kernel, _dense_product, _finite
+from .linalg import _crs_kernel, _dense_kernel, _finite
 
 __all__ = [
     "CgBreakdownError",
@@ -82,8 +82,7 @@ def _bind(operator: OperatorLike, n: int, x: np.ndarray, out: np.ndarray,
                 f"operator must be {n}x{n} like b, got {operator.rows}x{operator.cols}"
             )
         if isinstance(operator, DenseMatrix):
-            terms = np.empty((n, n))
-            return lambda: _dense_product(operator, x, out, terms)
+            return _dense_kernel(operator, x, out)
         return _crs_kernel(operator, x, out, scratch)
     if not callable(operator):
         raise TypeError(

@@ -5,9 +5,10 @@ error norm; pyramid: the report), diagnostics go to standard error. Exit
 codes: 0 success, 1 failed check (non-convergence, error above threshold,
 failing or slow tests), 2 invalid options, unreadable/malformed input, an
 unwritable --out file, a problem whose assembly or solve overflows
-binary64, or one too large to allocate (a dense solve holds two N x N
-grids, the matrix and the terms buffer that its products share, allocated
-once per solve, and is refused before allocating when they exceed the
+binary64, or one too large to allocate (a dense solve holds up to two
+N x N grids: the matrix and, on a numpy whose einsum fails linalg's
+rounding probe, the terms buffer its products share, allocated once per
+solve; it is refused before allocating when two grids exceed the
 machine's physical memory; --storage crs takes O(N)), 3 pyramid ordering
 violation.
 
@@ -119,12 +120,14 @@ def _heat_command(
             args.subparser.error(str(exc))
         if args.storage == "dense":
             # refused before allocating: under lazy overcommit the grid's
-            # allocation succeeds and the first product exhausts the machine
+            # allocation succeeds and the first product exhausts the machine;
+            # two grids, since the fallback product keeps an N x N terms buffer
             need, memory = 16 * args.cells**2, _physical_memory()
             if memory is not None and need > memory:
-                print(f"error: a dense solve at N = {args.cells} needs {need} bytes "
-                      f"(the N x N matrix and the products' N x N terms), more than this "
-                      f"machine's {memory}; --storage crs needs O(N) memory",
+                print(f"error: a dense solve at N = {args.cells} can need {need} bytes "
+                      f"(up to two N x N grids: the matrix, and the products' terms where "
+                      f"numpy's einsum rounds differently), more than this machine's "
+                      f"{memory}; --storage crs needs O(N) memory",
                       file=sys.stderr)
                 return 2
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx

@@ -16,12 +16,18 @@ expression whose summation order is pinned:
   The "+ 0.0" reproduces a loop that starts at +0.0: the last prefix of
   [-0.0, -0.0] is -0.0 where the loop gives 0.0, and adding +0.0 changes
   no other value.
-- The dense product reduces many rows at once: np.add.reduce(terms,
-  axis=0) + 0.0 over a C-contiguous cols x rows array of terms, one lane
-  per row. numpy reduces an outer axis as one elementwise add of each
-  column j into all the lanes, so every lane adds its terms in column
-  order, and its bits are its running sum's. A single lane would collapse
-  into a contiguous reduction, which numpy sums pairwise, so one row is a
+- The dense product reduces many rows at once over the grid's
+  transpose, a C-contiguous cols x rows array (the grid is stored
+  column-major), one lane per row: np.einsum("ji,j->i", grid.T, x,
+  optimize=False) in one pass, or np.multiply into a terms array and
+  np.add.reduce(terms, axis=0) + 0.0. Both add each column j into all
+  the lanes in turn from +0.0, so every lane adds its terms in column
+  order, and its bits are its running sum's. einsum multiply-adds
+  through numpy's SIMD muladd, which is fused (one rounding, not two) on
+  aarch64 and on builds whose baseline has FMA3, so it runs only after a
+  once-per-process probe (_einsum_folds) finds its bits equal to the
+  multiply-then-reduce pair's. A single lane would collapse into a
+  contiguous reduction, which numpy sums pairwise, so one row is a
   running sum instead.
 - The sparse product runs passes built once per matrix,
   acc[rows] += vals * x[cols], each holding at most one entry per row.
@@ -36,13 +42,16 @@ A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
 the same matrix. Several tests and the solver rely on that contract, so
-np.dot, np.sum and the @ operator stay banned, and add.reduce is allowed
-only over the outer axis of a C-contiguous array with at least two lanes:
-elsewhere its order is unspecified (pairwise, blocked or BLAS), and
-np.dot disagrees with the left-to-right loop on most random vectors. The
-orders of add.accumulate and of an outer-axis add.reduce are
-implementation properties rather than documented numpy guarantees; tests
-pin both against a pure-Python loop on the installed numpy.
+np.dot, np.sum and the @ operator stay banned. add.reduce is allowed
+only over the outer axis of a C-contiguous array with at least two
+lanes, and np.einsum only as "ji,j->i" with optimize=False over a
+C-contiguous transpose with at least two rows, after the probe:
+elsewhere einsum sums a row as a dot product and add.reduce's order is
+unspecified (pairwise, blocked or BLAS), and np.dot disagrees with the
+left-to-right loop on most random vectors. The orders of add.accumulate,
+an outer-axis add.reduce and einsum are implementation properties rather
+than documented numpy guarantees; tests pin all three against a
+pure-Python loop on the installed numpy.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -58,20 +67,23 @@ heat1d's assemble and analytic profile) carry one non-finite check, so
 overflow still raises ValueError (see _quiet); transpose, to_dense and
 dense_to_crs only rearrange checked values and check nothing.
 
-Each operation has one kernel, on arrays and unchecked: _dense_product,
+Each operation has one kernel, on arrays and unchecked: _dense_kernel,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
 scratch) arrays its caller gives it, and _running_sum writes nothing.
-_crs_kernel binds a matrix's passes to its arrays once and returns the
-product as a function of no arguments, and cgsolver gives _dense_product
-one cols x rows terms buffer per solve, so the CG loop, which multiplies
-the same arrays at every step, allocates nothing per product. The public
-functions add the checks and Vectors around the kernels and give them
-fresh arrays (_crs_product(m, x) does so for _crs_kernel). The CG loop
-(cgsolver) enters errstate once per call and checks for overflow itself.
+_dense_kernel and _crs_kernel bind a matrix to its arrays once and
+return the product as a function of no arguments: _dense_kernel picks
+einsum or the pair there, and gives the pair its one cols x rows terms
+buffer, and _crs_kernel binds the passes. So the CG loop, which
+multiplies the same arrays at every step, allocates nothing per product.
+The public functions add the checks and Vectors around the kernels and
+give them fresh arrays (_crs_product(m, x) does so for _crs_kernel). The
+CG loop (cgsolver) enters errstate once per call and checks for overflow
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -548,28 +560,74 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
-def _dense_product(m: DenseMatrix, x: np.ndarray, out: np.ndarray,
-                   terms: np.ndarray) -> np.ndarray:
-    """Write m times x into out, each row a running sum in column order; unchecked.
+def _einsum_probe() -> tuple[np.ndarray, np.ndarray]:
+    """A fixed C-contiguous cols x rows grid and its x, built without np.random.
 
-    terms is C-contiguous scratch of m.cols x m.rows floats; it takes
-    terms[j, i] = grid[i, j] * x[j], and the reduce over axis 0 adds each
-    column j into every row's lane in turn.
+    24 columns, so a pairwise or unrolled sum differs from the running
+    one; 67 lanes, so a vector body and a scalar tail both run; lane
+    scales from 1e-150 to 1e150 with alternating signs in x; and lane 0
+    all -0.0 products, which a sum that does not start from +0.0 keeps.
+    (Importing np.random would cost every process milliseconds.)
     """
-    np.multiply(m._grid.T, x[:, None], out=terms)
-    if m.rows == 1:  # one lane: numpy would sum the contiguous column pairwise
-        out[0] = _running_sum(terms[:, 0])
-        return out
-    np.add.reduce(terms, axis=0, out=out)
-    # a numpy that starts the reduce from the first term, not +0.0, can end at -0.0
-    return np.add(out, 0.0, out=out)
+    cols, rows = 24, 67
+    j = np.arange(cols, dtype=np.float64)
+    k = np.arange(cols * rows, dtype=np.float64).reshape(cols, rows)
+    scale = 10.0 ** (37 * np.arange(rows) % 301 - 150)
+    grid = np.sin(0.7 * k) * 2.0 ** (k % 7) * scale
+    x = (-1.0) ** j * (1.5 + np.cos(1.3 * j))
+    grid[:, 0] = -np.copysign(0.0, x)
+    return grid, x
+
+
+@functools.cache
+def _einsum_folds() -> bool:
+    """Whether einsum's dense product has the pair's bits on this numpy; never raises.
+
+    Run on the first dense product, once per process: the pair is pinned
+    against a Python loop by tests, and einsum may fuse its multiply-add.
+    """
+    grid, x = _einsum_probe()
+    pair = np.add.reduce(np.multiply(grid, x[:, None]), axis=0) + 0.0
+    try:
+        folded = np.einsum("ji,j->i", grid, x, out=np.empty(len(pair)), optimize=False)
+        return folded.tobytes() == pair.tobytes()
+    except Exception:  # any failure selects the pair, which is always right
+        return False
+
+
+def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """m times x, bound to these arrays; each call writes it into out and returns out; unchecked.
+
+    Each row is a running sum in column order. With at least two rows, a
+    C-contiguous grid transpose (the column-major grid) and an einsum
+    that passes _einsum_folds, the product is one einsum pass over the
+    grid, with no buffer. Otherwise a cols x rows terms buffer, allocated
+    here once, takes terms[j, i] = grid[i, j] * x[j], and the reduce over
+    axis 0 adds each column j into every row's lane in turn. out must not
+    overlap x.
+    """
+    grid_t = m._grid.T
+    if m.rows >= 2 and grid_t.flags.c_contiguous and _einsum_folds():
+        return functools.partial(np.einsum, "ji,j->i", grid_t, x, out=out, optimize=False)
+    terms, column = np.empty((m.cols, m.rows)), x[:, None]
+
+    def product() -> np.ndarray:
+        np.multiply(grid_t, column, out=terms)
+        if m.rows == 1:  # one lane: numpy would sum the contiguous column pairwise
+            out[0] = _running_sum(terms[:, 0])
+            return out
+        np.add.reduce(terms, axis=0, out=out)
+        # a numpy that starts the reduce from the first term, not +0.0, can end at -0.0
+        return np.add(out, 0.0, out=out)
+
+    return product
 
 
 @_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
     _require_column_operand(m.cols, v)
-    product = _dense_product(m, v._array, np.empty(m.rows), np.empty((m.cols, m.rows)))
+    product = _dense_kernel(m, v._array, np.empty(m.rows))()
     return Vector._trusted(_finite(product, "matvec"), Orientation.COLUMN)
 
 
