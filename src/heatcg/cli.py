@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import IO, Callable, Optional, Sequence
 
@@ -45,13 +46,20 @@ def _positive_real(text: str) -> float:
 
 
 def _add_solve_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cells", type=int, default=100, help="number of cells (default 100)")
-    sub.add_argument("--gamma", type=float, default=1.0, help="diffusivity (default 1.0)")
-    sub.add_argument("--length", type=float, default=1.0, help="domain length (default 1.0)")
-    sub.add_argument("--t-left", type=float, default=0.0, help="left boundary value (default 0.0)")
-    sub.add_argument("--t-right", type=float, default=1.0, help="right boundary value (default 1.0)")
-    sub.add_argument("--max-iters", type=int, default=1000, help="iteration cap (default 1000)")
-    sub.add_argument("--tol", type=float, default=1e-10, help="absolute residual tolerance (default 1e-10)")
+    sub.add_argument("--cells", type=int, default=HeatProblem.number_of_cells,
+                     help="number of cells (default %(default)s)")
+    sub.add_argument("--gamma", type=float, default=HeatProblem.gamma,
+                     help="diffusivity (default %(default)s)")
+    sub.add_argument("--length", type=float, default=HeatProblem.domain_length,
+                     help="domain length (default %(default)s)")
+    sub.add_argument("--t-left", type=float, default=HeatProblem.boundary_left,
+                     help="left boundary value (default %(default)s)")
+    sub.add_argument("--t-right", type=float, default=HeatProblem.boundary_right,
+                     help="right boundary value (default %(default)s)")
+    sub.add_argument("--max-iters", type=int, default=CgConfig.max_iterations,
+                     help="iteration cap (default %(default)s)")
+    sub.add_argument("--tol", type=float, default=CgConfig.tolerance,
+                     help="absolute residual tolerance (default %(default)s)")
     sub.add_argument("--storage", choices=("dense", "crs"), default="dense",
                      help="operator storage handed to the solver (default dense)")
 
@@ -98,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"duration budget for unit tests (default {DEFAULT_UNIT_BUDGET_MS:g})",
     )
     pyramid.set_defaults(func=cmd_pyramid, subparser=pyramid)
+    for sub in (solve, verify, pyramid):  # "-1e3" is a value: no option starts with -<digit>
+        sub._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

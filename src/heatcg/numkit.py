@@ -3,11 +3,11 @@
 The comparison is relative: two values are considered equal when their
 difference does not exceed the larger magnitude scaled by machine epsilon
 times a tolerance multiplier. Both binary32 and binary64 arithmetic are
-supported; the binary32 path rounds the inputs to single precision and
-performs every intermediate step in single precision. numpy supplies that
-binary32 arithmetic here; it is not this module's alone, since linalg
-keeps every vector and matrix in float64 arrays and runs its kernels in
-numpy.
+supported by one rule: the two inputs and the tolerance multiplier are
+rounded to the selected precision's numpy float type, and every
+intermediate step is performed in that type. numpy supplies that
+arithmetic here; it is not this module's alone, since linalg keeps every
+vector and matrix in float64 arrays and runs its kernels in numpy.
 
 Caveat: when exactly one argument is zero the threshold collapses to
 eps * tolerance * |other|, which is smaller than |other| for any sane
@@ -45,11 +45,8 @@ class Precision(Enum):
     DOUBLE = "double"
 
 
-# Unit roundoff of each supported width.
-_EPSILON = {
-    Precision.SINGLE: float(np.finfo(np.float32).eps),  # 2**-23
-    Precision.DOUBLE: float(np.finfo(np.float64).eps),  # 2**-52
-}
+# The float type each width rounds to; np.finfo gives its epsilon.
+_FLOAT_TYPE = {Precision.SINGLE: np.float32, Precision.DOUBLE: np.float64}
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class FloatCompareSpec:
     @property
     def epsilon(self) -> float:
         """Machine epsilon of the selected precision."""
-        return _EPSILON[self.precision_kind]
+        return float(np.finfo(_FLOAT_TYPE[self.precision_kind]).eps)
 
 
 def _require_float(value: object, label: str) -> float:
@@ -79,36 +76,24 @@ def _require_float(value: object, label: str) -> float:
     return checked_real(value, label)
 
 
-def _approx_eq_single(a: float, b: float, tolerance: float) -> bool:
-    # round to binary32 first, then keep every intermediate in binary32;
-    # overflow is reported through the ValueError below, not a warning
-    with np.errstate(over="ignore"):
-        a32 = np.float32(a)
-        b32 = np.float32(b)
-    if not (np.isfinite(a32) and np.isfinite(b32)):
-        raise ValueError(
-            f"inputs must stay finite after rounding to single precision: {a!r}, {b!r}"
-        )
-    difference = np.abs(a32 - b32)
-    largest = np.maximum(np.abs(a32), np.abs(b32))
-    threshold = largest * np.float32(_EPSILON[Precision.SINGLE]) * np.float32(tolerance)
-    return bool(difference <= threshold)
-
-
 def approx_eq(a: float, b: float, spec: FloatCompareSpec = FloatCompareSpec()) -> bool:
     """Return True when |a - b| <= max(|a|, |b|) * epsilon * tolerance.
 
-    Evaluation order is fixed: the difference first, then the larger
-    magnitude, then the scaled-epsilon threshold. Non-finite or non-float
-    inputs fail fast.
+    a, b and the tolerance multiplier are rounded to the precision's float
+    type, where each must stay finite, and the evaluation order is fixed:
+    the difference first, then the larger magnitude, then the scaled-epsilon
+    threshold. Non-finite or non-float inputs fail fast.
     """
     a = _require_float(a, "a")
     b = _require_float(b, "b")
-    if spec.precision_kind is Precision.SINGLE:
-        return _approx_eq_single(a, b, spec.tolerance_multiplier)
-    difference = abs(a - b)
-    largest = max(abs(a), abs(b))
-    return difference <= largest * _EPSILON[Precision.DOUBLE] * spec.tolerance_multiplier
+    kind = _FLOAT_TYPE[spec.precision_kind]
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below, or an inf step
+        x, y, tolerance = kind(a), kind(b), kind(spec.tolerance_multiplier)
+        if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(tolerance)):
+            raise ValueError(f"a, b and tolerance_multiplier must stay finite after rounding "
+                             f"to {spec.precision_kind.value} precision: "
+                             f"{a!r}, {b!r}, {spec.tolerance_multiplier!r}")
+        return bool(abs(x - y) <= max(abs(x), abs(y)) * np.finfo(kind).eps * tolerance)
 
 
 @dataclass(frozen=True)
