@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -135,27 +136,29 @@ def parse_manifest(text: str) -> list[TestRecord]:
         )
     records: list[TestRecord] = []
     for row in reader:
-        line = reader.line_num
         if len(row) != 4:
-            raise ManifestError(f"line {line}: expected 4 fields, got {len(row)}")
+            raise ManifestError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
         layer_text, name, duration_text, status_text = row
         layer = _LAYER_BY_VALUE.get(layer_text)
         if layer is None:
-            raise ManifestError(f"line {line}: unknown layer {layer_text!r}")
+            raise ManifestError(f"line {reader.line_num}: unknown layer {layer_text!r}")
         status = _STATUS_BY_VALUE.get(status_text)
         if status is None:
-            raise ManifestError(f"line {line}: unknown status {status_text!r}")
+            raise ManifestError(f"line {reader.line_num}: unknown status {status_text!r}")
         try:
             duration = float(duration_text)
         except ValueError:
             raise ManifestError(
-                f"line {line}: duration_ms must be a number, got {duration_text!r}"
+                f"line {reader.line_num}: duration_ms must be a number, got {duration_text!r}"
             ) from None
-        try:
-            _check_name(name)
-            checked_real(duration, "duration_ms", "non-negative")
-        except ValueError as exc:
-            raise ManifestError(f"line {line}: {exc}") from None
+        # a plain name and a finite non-negative duration pass as they are; only a
+        # value the helpers could refuse goes to them, for their message
+        if not (name and "\n" not in name and "\r" not in name and 0.0 <= duration < math.inf):
+            try:
+                _check_name(name)
+                checked_real(duration, "duration_ms", "non-negative")
+            except ValueError as exc:
+                raise ManifestError(f"line {reader.line_num}: {exc}") from None
         records.append(TestRecord._trusted(layer, name, duration, status))
     return records
 
@@ -183,16 +186,21 @@ def pyramid_report(
 ) -> PyramidReport:
     """Aggregate counts and audit the shape and the unit duration budget."""
     checked_real(unit_budget_ms, "unit_budget_ms", "positive")
-    layer_counts = {layer: 0 for layer in Layer}
-    status_counts = {status: 0 for status in TestStatus}
+    layers: list[Layer] = []
+    statuses: list[TestStatus] = []
     slow: list[str] = []
+    unit = Layer.UNIT  # a member lookup on the class costs ~0.1 µs on Python 3.11
     for record in records:
         if not isinstance(record, TestRecord):
             raise TypeError(f"records must be TestRecord values, got {type(record).__name__}")
-        layer_counts[record.layer] += 1
-        status_counts[record.status] += 1
-        if record.layer is Layer.UNIT and record.duration_ms > unit_budget_ms:
+        layers.append(record.layer)
+        statuses.append(record.status)
+        if record.layer is unit and record.duration_ms > unit_budget_ms:
             slow.append(record.name)
+    # list.count compares by identity first; a dict keyed by members would call
+    # Enum.__hash__, a Python function, twice per record
+    layer_counts = {layer: layers.count(layer) for layer in Layer}
+    status_counts = {status: statuses.count(status) for status in TestStatus}
     pyramid_ok = (
         layer_counts[Layer.UNIT] >= layer_counts[Layer.INTEGRATION]
         and layer_counts[Layer.INTEGRATION] >= layer_counts[Layer.SYSTEM]
