@@ -11,12 +11,12 @@ l2_norm(r), computes it again. Convergence means the absolute residual L2
 norm is at or below the tolerance, checked after initialization and after
 every step.
 
-One loop body, _step, runs these recurrences (Hestenes and Stiefel, 1952)
-in place on one workspace per solve (per call for cg_init and cg_step),
-keeping the expression order of phi + alpha d, r - alpha A d and
-r + beta d, so the bits are those of fresh arrays. A breakdown is raised
-before phi, r or d change. No input changes, and each returned Vector
-owns N floats.
+One generator, _steps, runs these recurrences (Hestenes and Stiefel, 1952)
+in place on one workspace per solve (per call for cg_init and cg_step) in
+the expression order of phi + alpha d, r - alpha A d and r + beta d, so the
+bits are those of fresh arrays; cg_solve drives it to the tolerance or the
+cap, cg_step takes one step. A breakdown is raised before phi, r or d
+change. No input changes, and each returned Vector owns N floats.
 
 Overflow raises ValueError. rT r is checked after initialization and
 after every step, which covers r; d and phi are checked once, on return.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -186,53 +186,56 @@ class _Workspace:
         self.product = _bind(operator, len(d), self.d, self.ad, self.scratch)
 
 
-def _start(operator: OperatorLike, b: Vector, x0: Vector) -> tuple[_Workspace, float]:
-    """Check the inputs once; a workspace holding phi = x0 and r = d = b - A x0, and rT r."""
+def _start(operator: OperatorLike, b: Vector, x0: Optional[Vector], caller: str,
+           guess: str) -> tuple[_Workspace, float]:
+    """Check b once; a workspace holding phi = x0 (zeros if None), r = d = b - A x0, and rT r."""
     _require_column(b, "b")
-    _require_column(x0, "x0")
+    if x0 is None:
+        x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
     if len(b) != len(x0):
         raise ValueError(
-            f"cg_init: b and x0 lengths must match, got {len(b)} and {len(x0)}"
+            f"{caller}: b and {guess} lengths must match, got {len(b)} and {len(x0)}"
         )
     ws = _Workspace(operator, x0._array, x0._array, x0._array)
     np.subtract(b._array, ws.product(), out=ws.r)
     np.subtract(b._array, ws.ad, out=ws.d)
-    return ws, _r_dot_r(ws.r, ws.scratch)
-
-
-def _r_dot_r(r: np.ndarray, scratch: np.ndarray) -> float:
-    """rT r, which must be finite; then every component of r is finite too."""
-    r_dot_r = linalg._running_sum(np.multiply(r, r, out=scratch))
+    r_dot_r = linalg._running_sum(np.multiply(ws.r, ws.r, out=ws.scratch))
     if not math.isfinite(r_dot_r):
         raise ValueError(f"cg: rT r overflowed to {r_dot_r!r}")
-    return r_dot_r
+    return ws, r_dot_r
 
 
-def _step(ws: _Workspace, r_dot_r: float, n: int) -> tuple[float, float, float]:
-    """Step n + 1 in place on the workspace; rT r, alpha and beta after it.
+def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[tuple[float, float, float]]:
+    """Steps n + 1, n + 2, ... in place on the workspace; rT r, alpha and beta after each.
 
-    A breakdown raises before phi, r or d change, so they still hold step n.
+    A breakdown raises before phi, r or d change; rT r must be finite, and then so is r.
+    Names, linalg._running_sum too, are read once, when the first step starts.
     """
-    phi, r, d, ad, scratch = ws.phi, ws.r, ws.d, ws.ad, ws.scratch
-    ws.product()
-    d_dot_r = linalg._running_sum(np.multiply(d, r, out=scratch))
-    d_dot_ad = linalg._running_sum(np.multiply(d, ad, out=scratch))
-    if d_dot_ad == 0.0:
-        raise CgBreakdownError(
-            f"dT A d is exactly zero at iteration {n}; "
-            f"operator is degenerate or not positive definite"
-        )
-    if r_dot_r == 0.0:
-        raise CgBreakdownError(
-            f"rT r is exactly zero at iteration {n}; residual already vanished"
-        )
-    alpha = d_dot_r / d_dot_ad
-    np.add(phi, np.multiply(alpha, d, out=scratch), out=phi)
-    np.subtract(r, np.multiply(alpha, ad, out=scratch), out=r)
-    r_dot_r_next = _r_dot_r(r, scratch)
-    beta = r_dot_r_next / r_dot_r
-    np.add(r, np.multiply(beta, d, out=d), out=d)
-    return r_dot_r_next, alpha, beta
+    phi, r, d, ad, scratch, product = ws.phi, ws.r, ws.d, ws.ad, ws.scratch, ws.product
+    running_sum, multiply, add, subtract = linalg._running_sum, np.multiply, np.add, np.subtract
+    while True:
+        product()
+        d_dot_r = running_sum(multiply(d, r, scratch))
+        d_dot_ad = running_sum(multiply(d, ad, scratch))
+        if d_dot_ad == 0.0:
+            raise CgBreakdownError(
+                f"dT A d is exactly zero at iteration {n}; "
+                f"operator is degenerate or not positive definite"
+            )
+        if r_dot_r == 0.0:
+            raise CgBreakdownError(
+                f"rT r is exactly zero at iteration {n}; residual already vanished"
+            )
+        alpha = d_dot_r / d_dot_ad
+        add(phi, multiply(alpha, d, scratch), phi)
+        subtract(r, multiply(alpha, ad, scratch), r)
+        r_dot_r_next = running_sum(multiply(r, r, scratch))
+        if not math.isfinite(r_dot_r_next):
+            raise ValueError(f"cg: rT r overflowed to {r_dot_r_next!r}")
+        beta = r_dot_r_next / r_dot_r
+        add(r, multiply(beta, d, d), d)
+        r_dot_r, n = r_dot_r_next, n + 1
+        yield r_dot_r, alpha, beta
 
 
 def _column(array: np.ndarray, op: str) -> Vector:
@@ -242,7 +245,7 @@ def _column(array: np.ndarray, op: str) -> Vector:
 @_quiet
 def cg_init(operator: OperatorLike, b: Vector, x0: Vector) -> CgState:
     """Initial state: phi = x0, r = d = b - A x0, counters at zero."""
-    ws, r_dot_r = _start(operator, b, x0)
+    ws, r_dot_r = _start(operator, b, _require_column(x0, "x0"), "cg_init", "x0")
     r = Vector._trusted(ws.r, Orientation.COLUMN)
     return CgState(phi=x0, r=r, d=r, alpha=0.0, beta=0.0, n=0, r_dot_r=r_dot_r)
 
@@ -255,7 +258,7 @@ def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     epsilon test: an SPD operator only produces zero for a zero vector).
     """
     ws = _Workspace(operator, state.phi._array, state.r._array, state.d._array)
-    r_dot_r, alpha, beta = _step(ws, state.r_dot_r, state.n)
+    r_dot_r, alpha, beta = next(_steps(ws, state.r_dot_r, state.n))
     return CgState(
         phi=_column(ws.phi, "cg_step"), r=Vector._trusted(ws.r, Orientation.COLUMN),
         d=_column(ws.d, "cg_step"), alpha=alpha, beta=beta, n=state.n + 1, r_dot_r=r_dot_r,
@@ -272,26 +275,21 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     """
     if not isinstance(config, CgConfig):
         raise TypeError(f"config must be a CgConfig, got {type(config).__name__}")
-    _require_column(b, "b")
-    x0 = config.initial_guess
-    if x0 is None:
-        x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
-    ws, r_dot_r = _start(operator, b, x0)
-    n, breakdown = 0, False
-    residual_norm = math.sqrt(r_dot_r)
-    while residual_norm > config.tolerance and n < config.max_iterations:
-        try:
-            r_dot_r, _, _ = _step(ws, r_dot_r, n)
-        except CgBreakdownError:
-            breakdown = True
-            break
-        n += 1
-        residual_norm = math.sqrt(r_dot_r)
+    ws, r_dot_r = _start(operator, b, config.initial_guess, "cg_solve", "initial_guess")
+    tolerance, cap, sqrt = config.tolerance, config.max_iterations, math.sqrt
+    n, breakdown, residual_norm, steps = 0, False, sqrt(r_dot_r), _steps(ws, r_dot_r, 0)
+    try:
+        while residual_norm > tolerance and n < cap:
+            r_dot_r, _, _ = next(steps)
+            n += 1
+            residual_norm = sqrt(r_dot_r)
+    except CgBreakdownError:
+        breakdown = True
     _finite(ws.d, "cg_solve")
     return CgResult(
         solution=_column(ws.phi, "cg_solve"),
         iterations=n,
         residual_norm=residual_norm,
-        converged=residual_norm <= config.tolerance,
+        converged=residual_norm <= tolerance,
         breakdown=breakdown,
     )

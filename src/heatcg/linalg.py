@@ -612,13 +612,13 @@ def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[]
     terms, column = np.empty((m.cols, m.rows)), x[:, None]
 
     def product() -> np.ndarray:
-        np.multiply(grid_t, column, out=terms)
+        np.multiply(grid_t, column, terms)
         if m.rows == 1:  # one lane: numpy would sum the contiguous column pairwise
             out[0] = _running_sum(terms[:, 0])
             return out
-        np.add.reduce(terms, axis=0, out=out)
+        np.add.reduce(terms, 0, None, out)  # axis 0, no dtype, out
         # a numpy that starts the reduce from the first term, not +0.0, can end at -0.0
-        return np.add(out, 0.0, out=out)
+        return np.add(out, 0.0, out)
 
     return product
 
@@ -657,6 +657,7 @@ def _crs_kernel(
             bound.append((out[rows], values, x[cols], scratch[: len(values)]))
         else:
             bound.append((rows, values, cols, None))
+    add, multiply = np.add, np.multiply
 
     def product() -> np.ndarray:
         out.fill(0.0)
@@ -664,7 +665,7 @@ def _crs_kernel(
             if terms is None:  # target and source index out and x
                 out[target] += values * x[source]
             else:  # target and source are views of out and x
-                np.add(target, np.multiply(values, source, out=terms), out=target)
+                add(target, multiply(values, source, terms), target)
         return out
 
     return product

@@ -121,46 +121,50 @@ def parse_manifest(text: str) -> list[TestRecord]:
     """Parse manifest text into records, in file order.
 
     Raises ManifestError naming the line for a missing or wrong header,
-    a wrong field count, an unknown layer or status, or a bad duration.
+    a wrong field count, an unknown layer or status, a bad duration, or a
+    row csv cannot read.
     """
     if not isinstance(text, str):
         raise TypeError(f"manifest text must be a string, got {type(text).__name__}")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("line 1: missing header 'layer,name,duration_ms,status'")
-    if tuple(header) != MANIFEST_HEADER:
-        raise ManifestError(
-            f"line 1: expected header 'layer,name,duration_ms,status', got {header!r}"
-        )
-    records: list[TestRecord] = []
-    for row in reader:
-        if len(row) != 4:
-            raise ManifestError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
-        layer_text, name, duration_text, status_text = row
-        layer = _LAYER_BY_VALUE.get(layer_text)
-        if layer is None:
-            raise ManifestError(f"line {reader.line_num}: unknown layer {layer_text!r}")
-        status = _STATUS_BY_VALUE.get(status_text)
-        if status is None:
-            raise ManifestError(f"line {reader.line_num}: unknown status {status_text!r}")
+    try:  # csv refuses a field over its size limit (and NUL, before Python 3.11)
         try:
-            duration = float(duration_text)
-        except ValueError:
+            header = next(reader)
+        except StopIteration:
+            raise ManifestError("line 1: missing header 'layer,name,duration_ms,status'")
+        if tuple(header) != MANIFEST_HEADER:
             raise ManifestError(
-                f"line {reader.line_num}: duration_ms must be a number, got {duration_text!r}"
-            ) from None
-        # a plain name and a finite non-negative duration pass as they are; only a
-        # value the helpers could refuse goes to them, for their message
-        if not (name and "\n" not in name and "\r" not in name and 0.0 <= duration < math.inf):
+                f"line 1: expected header 'layer,name,duration_ms,status', got {header!r}"
+            )
+        records: list[TestRecord] = []
+        for row in reader:
+            if len(row) != 4:
+                raise ManifestError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
+            layer_text, name, duration_text, status_text = row
+            layer = _LAYER_BY_VALUE.get(layer_text)
+            if layer is None:
+                raise ManifestError(f"line {reader.line_num}: unknown layer {layer_text!r}")
+            status = _STATUS_BY_VALUE.get(status_text)
+            if status is None:
+                raise ManifestError(f"line {reader.line_num}: unknown status {status_text!r}")
             try:
-                _check_name(name)
-                checked_real(duration, "duration_ms", "non-negative")
-            except ValueError as exc:
-                raise ManifestError(f"line {reader.line_num}: {exc}") from None
-        records.append(TestRecord._trusted(layer, name, duration, status))
-    return records
+                duration = float(duration_text)
+            except ValueError:
+                raise ManifestError(
+                    f"line {reader.line_num}: duration_ms must be a number, got {duration_text!r}"
+                ) from None
+            # a plain name and a finite non-negative duration pass as they are; only a
+            # value the helpers could refuse goes to them, for their message
+            if not (name and "\n" not in name and "\r" not in name and 0.0 <= duration < math.inf):
+                try:
+                    _check_name(name)
+                    checked_real(duration, "duration_ms", "non-negative")
+                except ValueError as exc:
+                    raise ManifestError(f"line {reader.line_num}: {exc}") from None
+            records.append(TestRecord._trusted(layer, name, duration, status))
+        return records
+    except csv.Error as exc:
+        raise ManifestError(f"line {reader.line_num}: {exc}") from None
 
 
 def render_manifest(records: Iterable[TestRecord]) -> str:
