@@ -21,8 +21,7 @@ from . import cli  # noqa: E402  (numpy must load after the lines above)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI, then freeze the heap so the collection at shutdown skips it.
 
-    Freezing keeps the normal shutdown: output is flushed, atexit handlers
-    run and a broken pipe is reported as before.
+    Freezing keeps the normal shutdown: output is flushed and atexit handlers run.
     """
     try:
         return cli.main(argv)

@@ -3,14 +3,15 @@
 Data goes to standard output (solve: CSV temperature profile; verify: the
 error norm; pyramid: the report), diagnostics go to standard error. Exit
 codes: 0 success, 1 failed check (non-convergence, error above threshold,
-failing or slow tests), 2 invalid options, unreadable/malformed input, an
-unwritable --out file, a problem whose assembly or solve overflows
-binary64, or one too large to allocate (a dense solve holds up to two
-N x N grids: the matrix and, on a numpy whose einsum fails linalg's
-rounding probe, the terms buffer its products share, allocated once per
-solve; it is refused before allocating when two grids exceed the
-machine's physical memory; --storage crs takes O(N)), 3 pyramid ordering
-violation.
+failing or slow tests), 2 invalid options, unreadable/malformed input,
+output that cannot be written (an --out file, or a full or closed
+stdout), a problem whose assembly or solve overflows binary64, or one too
+large to allocate (a dense solve holds up to two N x N grids: the matrix
+and, on a numpy whose einsum fails linalg's rounding probe, the terms
+buffer its products share, allocated once per solve; it is refused before
+allocating when two grids exceed the machine's physical memory; --storage
+crs takes O(N)), 3 pyramid ordering violation. Every exit 2 but invalid
+options prints one error: line.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -22,7 +23,7 @@ import argparse
 import os
 import re
 import sys
-from typing import IO, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import (  # through the package, so importing cli loads all five modules
     DEFAULT_UNIT_BUDGET_MS, CgConfig, HeatProblem, HeatSolution, Layer, ManifestError,
@@ -33,8 +34,22 @@ from ._checks import checked_real
 __all__ = ["build_parser", "main"]
 
 
+class _Refused(Exception):
+    """A run that cannot go on; main prints its message as one error: line and exits 2."""
+
+
 def _fmt(value: float) -> str:
     return "%.17g" % value
+
+
+def _emit(text: str, path: Optional[str] = None) -> None:
+    """Write a command's data to path, or to stdout flushed, so a failed write raises here."""
+    if path is None:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
 
 
 def _positive_real(text: str) -> float:
@@ -134,21 +149,17 @@ def _heat_command(
             # two grids, since the fallback product keeps an N x N terms buffer
             need, memory = 16 * args.cells**2, _physical_memory()
             if memory is not None and need > memory:
-                print(f"error: a dense solve at N = {args.cells} can need {need} bytes "
-                      f"(up to two N x N grids: the matrix, and the products' terms where "
-                      f"numpy's einsum rounds differently), more than this machine's "
-                      f"{memory}; --storage crs needs O(N) memory",
-                      file=sys.stderr)
-                return 2
+                raise _Refused(f"a dense solve at N = {args.cells} can need {need} bytes "
+                               f"(up to two N x N grids: the matrix, and the products' terms "
+                               f"where numpy's einsum rounds differently), more than this "
+                               f"machine's {memory}; --storage crs needs O(N) memory")
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
             solution = solve_heat(problem, config, storage=args.storage)
         except (ValueError, ArithmeticError) as exc:
-            print(f"error: arithmetic left the binary64 range: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(f"arithmetic left the binary64 range: {exc}")
         except MemoryError as exc:
             hint = "; --storage crs needs O(N) memory" if args.storage == "dense" else ""
-            print(f"error: out of memory: {exc}{hint}", file=sys.stderr)
-            return 2
+            raise _Refused(f"out of memory: {exc}{hint}")
         status, cg = report(args, problem, solution), solution.cg
         if not (cg.converged or cg.breakdown) and args.max_iters < args.cells:
             print(f"hint: CG can need N = {args.cells} iterations here, more than "
@@ -158,25 +169,10 @@ def _heat_command(
     return command
 
 
-def _write_profile(stream: IO[str], xs: Sequence[float], temps: Sequence[float]) -> None:
-    stream.write("x,temperature\n")
-    for x, t in zip(xs, temps):
-        stream.write(f"{_fmt(x)},{_fmt(t)}\n")
-
-
 @_heat_command
 def cmd_solve(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolution) -> int:
-    xs = cell_centers(problem).components
-    temps = solution.temperature.components
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                _write_profile(stream, xs, temps)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-    else:
-        _write_profile(sys.stdout, xs, temps)
+    rows = zip(cell_centers(problem).components, solution.temperature.components)
+    _emit("x,temperature\n" + "".join(f"{_fmt(x)},{_fmt(t)}\n" for x, t in rows), args.out)
     cg = solution.cg
     print(
         f"cells={problem.number_of_cells} storage={args.storage} "
@@ -195,7 +191,7 @@ def cmd_solve(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolu
 def cmd_verify(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolution) -> int:
     cg = solution.cg
     error = solution.l2_error_vs_analytic
-    print(_fmt(error))
+    _emit(_fmt(error) + "\n")
     print(
         f"cells={problem.number_of_cells} converged={cg.converged} "
         f"iterations={cg.iterations} residual_norm={_fmt(cg.residual_norm)} "
@@ -217,15 +213,13 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
         with open(args.manifest, "r", encoding="utf-8") as stream:
             text = stream.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot read manifest: {exc}")
     try:
         records = parse_manifest(text)
     except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(str(exc))
     report = pyramid_report(records, unit_budget_ms=args.unit_budget_ms)
-    sys.stdout.write(render_report(report))
+    _emit(render_report(report))
     if not report.pyramid_ok:
         counts = report.layer_counts
         print(
@@ -251,4 +245,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # reported with the usage of the subcommand that was run
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:  # the message only: a kept exception would hold its frames
+        message = str(exc)
+    except OSError as exc:  # the commands turn failed reads into _Refused: a failed write
+        message = f"cannot write output: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
