@@ -15,8 +15,10 @@ One generator, _steps, runs these recurrences (Hestenes and Stiefel, 1952)
 in place on one workspace per solve (per call for cg_init and cg_step) in
 the expression order of phi + alpha d, r - alpha A d and r + beta d, so the
 bits are those of fresh arrays; cg_solve drives it to the tolerance or the
-cap, cg_step takes one step. A breakdown is raised before phi, r or d
-change. No input changes, and each returned Vector owns N floats.
+cap, cg_step takes one step. numpy converts a Python float operand on every
+call, so alpha and beta reach it as 0-d arrays, and the loop's names are
+bound once. A breakdown is raised before phi, r or d change. No input
+changes, and each returned Vector owns N floats.
 
 Overflow raises ValueError. rT r is checked after initialization and
 after every step, which covers r; d and phi are checked once, on return.
@@ -209,10 +211,13 @@ def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[tuple[float, floa
     """Steps n + 1, n + 2, ... in place on the workspace; rT r, alpha and beta after each.
 
     A breakdown raises before phi, r or d change; rT r must be finite, and then so is r.
-    Names, linalg._running_sum too, are read once, when the first step starts.
+    Names, linalg._running_sum too, are read once, when the first step starts, and the
+    0-d operands alpha_ and beta_ are made then, one pair per generator; the floats are
+    yielded, so no state holds an array a later step overwrites.
     """
     phi, r, d, ad, scratch, product = ws.phi, ws.r, ws.d, ws.ad, ws.scratch, ws.product
     running_sum, multiply, add, subtract = linalg._running_sum, np.multiply, np.add, np.subtract
+    alpha_, beta_ = np.empty(()), np.empty(())
     while True:
         product()
         d_dot_r = running_sum(multiply(d, r, scratch))
@@ -227,13 +232,15 @@ def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[tuple[float, floa
                 f"rT r is exactly zero at iteration {n}; residual already vanished"
             )
         alpha = d_dot_r / d_dot_ad
-        add(phi, multiply(alpha, d, scratch), phi)
-        subtract(r, multiply(alpha, ad, scratch), r)
+        alpha_[()] = alpha
+        add(phi, multiply(alpha_, d, scratch), phi)
+        subtract(r, multiply(alpha_, ad, scratch), r)
         r_dot_r_next = running_sum(multiply(r, r, scratch))
         if not math.isfinite(r_dot_r_next):
             raise ValueError(f"cg: rT r overflowed to {r_dot_r_next!r}")
         beta = r_dot_r_next / r_dot_r
-        add(r, multiply(beta, d, d), d)
+        beta_[()] = beta
+        add(r, multiply(beta_, d, d), d)
         r_dot_r, n = r_dot_r_next, n + 1
         yield r_dot_r, alpha, beta
 

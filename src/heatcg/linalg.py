@@ -482,11 +482,14 @@ def _finite(array: np.ndarray, op: str) -> np.ndarray:
     return array
 
 
+_accumulate = np.add.accumulate
+
+
 def _running_sum(terms: np.ndarray) -> float:
     """Left-to-right sum from +0.0; bitwise `acc = 0.0; for t in terms: acc += t`."""
     if not len(terms):
         return 0.0
-    return np.add.accumulate(terms).item(-1) + 0.0
+    return _accumulate(terms).item(-1) + 0.0
 
 
 @_quiet
