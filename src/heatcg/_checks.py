@@ -10,9 +10,7 @@ def checked_real(value: object, label: str, sign: str = "") -> float:
     Ints are not converted, so an int beyond the float range still passes;
     checked_float rejects it.
     """
-    if type(value) not in (int, float) and (  # a plain int or float skips both isinstance calls
-        isinstance(value, bool) or not isinstance(value, (int, float))
-    ):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
     if (
         (isinstance(value, float) and not math.isfinite(value))

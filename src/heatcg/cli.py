@@ -143,16 +143,19 @@ def _heat_command(
             config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
         except (TypeError, ValueError) as exc:
             args.subparser.error(str(exc))
-        if args.storage == "dense":
-            # refused before allocating: under lazy overcommit the grid's
-            # allocation succeeds and the first product exhausts the machine;
-            # two grids, since the fallback product keeps an N x N terms buffer
-            need, memory = 16 * args.cells**2, _physical_memory()
-            if memory is not None and need > memory:
-                raise _Refused(f"a dense solve at N = {args.cells} can need {need} bytes "
-                               f"(up to two N x N grids: the matrix, and the products' terms "
-                               f"where numpy's einsum rounds differently), more than this "
-                               f"machine's {memory}; --storage crs needs O(N) memory")
+        # refused before allocating: under lazy overcommit the allocation
+        # succeeds and the first product exhausts the machine. A dense solve can
+        # hold two grids, since the fallback product keeps an N x N terms buffer;
+        # a CRS solve holds at least its band, 3N float64 values and intp columns
+        dense, memory = args.storage == "dense", _physical_memory()
+        need = 16 * args.cells**2 if dense else 48 * args.cells
+        if memory is not None and need > memory:
+            held = ("can need {} bytes (up to two N x N grids: the matrix, and the products' "
+                    "terms where numpy's einsum rounds differently)" if dense else
+                    "needs at least {} bytes (a band of 3N float64 values and intp columns)")
+            hint = "; --storage crs needs O(N) memory" if dense else ""
+            raise _Refused(f"a {args.storage} solve at N = {args.cells} {held.format(need)}, "
+                           f"more than this machine's {memory}{hint}")
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
             solution = solve_heat(problem, config, storage=args.storage)
         except (ValueError, ArithmeticError) as exc:

@@ -61,7 +61,9 @@ indexing).
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
 and CrsMatrix constructors hold every component to the real-number rule
 of _checks.checked_float, the one place that rule lives. Values heatcg
-computes itself go through the trusted constructors (_trusted) instead.
+computes itself go through the trusted constructors instead:
+Vector._trusted, DenseMatrix._trusted, and CrsMatrix._compressed, which
+keeps the nonzeros of a grid row by row and builds the row offsets.
 Results of arithmetic (the vector kernels, matvec, crs_matvec, mat_scale,
 heat1d's assemble and analytic profile) carry one non-finite check, so
 overflow still raises ValueError (see _quiet); transpose, to_dense and
@@ -119,14 +121,10 @@ class Orientation(Enum):
 
 
 def _checked_components(values: Iterable[float], context: str) -> tuple[float, ...]:
-    values = tuple(values)
-    try:  # a plain finite float passes as it is; the label is built only after a failure
-        return tuple([x if type(x) is float and math.isfinite(x) else checked_float(x, context)
-                      for x in values])
-    except (TypeError, ValueError):
-        for i, x in enumerate(values):
-            checked_float(x, f"{context}: component {i}")
-        raise
+    # a plain finite float passes as it is; the label is built only for any other value
+    return tuple([x if type(x) is float and math.isfinite(x)
+                  else checked_float(x, f"{context}: component {i}")
+                  for i, x in enumerate(values)])
 
 
 def _checked_index(value: object, limit: int, label: str) -> int:
@@ -374,11 +372,14 @@ class CrsMatrix:
         )
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, values: np.ndarray,
-                 col_indices: np.ndarray, row_ptr: np.ndarray) -> "CrsMatrix":
-        # float64 values and intp indices that already satisfy every invariant __init__ checks
+    def _compressed(cls, values: np.ndarray, columns: np.ndarray, cols: int) -> "CrsMatrix":
+        # row i stores the nonzero values[i, k] (finite float64; -0.0 counts as zero) at
+        # columns[i, k] (intp, in range, increasing along the row); masks read row-major
+        stored = values != 0.0
+        row_ptr = np.zeros(len(values) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
         self = cls.__new__(cls)
-        self._assign(rows, cols, values, col_indices, row_ptr)
+        self._assign(len(values), cols, values[stored], columns[stored], row_ptr)
         return self
 
     def _assign(self, rows: int, cols: int, values: np.ndarray,
@@ -636,10 +637,8 @@ def matvec(m: DenseMatrix, v: Vector) -> Vector:
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     """Compress a dense matrix, dropping entries that are exactly zero."""
-    rows, cols = np.nonzero(m._grid)  # row-major order; -0.0 counts as zero
-    row_ptr = np.zeros(m.rows + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(m._grid, axis=1), out=row_ptr[1:])
-    return CrsMatrix._trusted(m.rows, m.cols, m._grid[rows, cols], cols, row_ptr)
+    columns = np.broadcast_to(np.arange(m.cols, dtype=np.intp), m._grid.shape)
+    return CrsMatrix._compressed(m._grid, columns, m.cols)
 
 
 def _crs_kernel(
