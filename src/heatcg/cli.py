@@ -6,11 +6,11 @@ codes: 0 success, 1 failed check (non-convergence, error above threshold,
 failing or slow tests), 2 invalid options, unreadable/malformed input,
 output that cannot be written (an --out file, or a full or closed
 stdout), a problem whose assembly or solve overflows binary64, or one too
-large to allocate (a dense solve holds up to two N x N grids: the matrix
-and, on a numpy whose einsum fails linalg's rounding probe, the terms
-buffer its products share, allocated once per solve; it is refused before
-allocating when two grids exceed the machine's physical memory; --storage
-crs takes O(N)), 3 pyramid ordering violation. Every exit 2 but invalid
+large to allocate: a solve that needs more than the machine's physical
+memory is refused before allocating (a dense solve can hold two N x N
+grids, the matrix and the terms buffer its products share on a numpy
+whose einsum fails linalg's rounding probe; a CRS solve at least its
+48N-byte band), 3 pyramid ordering violation. Every exit 2 but invalid
 options prints one error: line.
 
 Floats are printed with 17 significant digits, enough to round-trip

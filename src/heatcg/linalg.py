@@ -10,10 +10,10 @@ expression whose summation order is pinned:
 - Elementwise +, - and * are exact per element, so vec_scale, vec_add
   and vec_sub cannot depend on any order.
 - Every reduction of one vector (dot, l2_norm) is a running sum,
-  np.matmul(terms, ones), ones a read-only zero-stride view of 1.0. A
-  zero stride fails numpy's BLAS check, so 1-D @ 1-D runs its plain C
-  loop, sum = 0; sum += t * 1.0, in index order, and writes no array:
-  t * 1.0 is exact, fused or not, and a sum from +0.0 never ends at -0.0.
+  np.vdot(terms, ones), ones a read-only zero-stride view of 1.0 that
+  vdot keeps. A zero stride fails numpy's BLAS check, so vdot runs its
+  plain C loop, sum = 0; sum += t * 1.0, in index order, and writes no
+  array: t * 1.0 is exact, fused or not; a sum from +0.0 never ends at -0.0.
 - The dense product reduces many rows at once over the grid's
   transpose, a C-contiguous cols x rows array (the grid is stored
   column-major), one lane per row: np.einsum("ji,j->i", grid.T, x,
@@ -40,18 +40,18 @@ A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
 the same matrix. Several tests and the solver rely on that contract, so
-np.sum, np.dot and @ stay banned but for one form, _running_sum's
-np.matmul(terms, _ones(len(terms))). np.dot is not it: it copies a
-zero-stride operand and calls BLAS ddot, and differed from the loop on
-450 of 500 random normal vectors (numpy 2.4), matmul on none; np.vecdot
-needs numpy 2.0. add.reduce is allowed only over the outer axis of a
-C-contiguous array with at least two lanes, and np.einsum only as
-"ji,j->i" with optimize=False over a C-contiguous transpose with at
-least two rows, after the probe: elsewhere einsum sums a row as a dot
-product and add.reduce's order is unspecified (pairwise, blocked or
-BLAS). The orders of that matmul, an outer-axis add.reduce and einsum
-are implementation properties rather than documented numpy guarantees;
-tests pin all three against a pure-Python loop on the installed numpy.
+np.sum, np.dot, np.matmul and @ stay banned, and np.vdot is used only as
+_running_sum's np.vdot(terms, _ones(len(terms))). np.dot copies a
+zero-stride operand into BLAS ddot, which differed from the loop on 450
+of 500 random normal vectors (numpy 2.4); matmul runs vdot's loop behind
+a dearer gufunc dispatch; np.vecdot needs numpy 2.0. add.reduce is
+allowed only over the outer axis of a C-contiguous array with at least
+two lanes, and np.einsum only as "ji,j->i" with optimize=False over a
+C-contiguous transpose with at least two rows, after the probe: elsewhere
+einsum sums a row as a dot product and add.reduce's order is unspecified
+(pairwise, blocked or BLAS). The orders of that vdot, an outer-axis
+add.reduce and einsum are numpy implementation properties, not documented
+guarantees; tests pin all three against a pure-Python loop.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -485,12 +485,12 @@ def _finite(array: np.ndarray, op: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)  # one view per length: cheaper than slicing a long one
 def _ones(n: int) -> np.ndarray:
-    return np.broadcast_to(1.0, n)  # read-only, stride 0: matmul keeps off BLAS
+    return np.broadcast_to(1.0, n)  # read-only, stride 0: vdot keeps it and stays off BLAS
 
 
 def _running_sum(terms: np.ndarray) -> float:
     """Left-to-right sum from +0.0; bitwise `acc = 0.0; for t in terms: acc += t`."""
-    return float(np.matmul(terms, _ones(len(terms))))  # its plain C loop; writes no array
+    return float(np.vdot(terms, _ones(len(terms))))  # its plain C loop; writes no array
 
 
 @_quiet
