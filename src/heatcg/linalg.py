@@ -11,9 +11,9 @@ expression whose summation order is pinned:
   and vec_sub cannot depend on any order.
 - Every reduction of one vector (dot, l2_norm) is a running sum,
   np.vdot(terms, ones), ones a read-only zero-stride view of 1.0 that
-  vdot keeps. A zero stride fails numpy's BLAS check, so vdot runs its
-  plain C loop, sum = 0; sum += t * 1.0, in index order, and writes no
-  array: t * 1.0 is exact, fused or not; a sum from +0.0 never ends at -0.0.
+  vdot reshapes as a view (np.ravel would copy it). A zero stride fails
+  numpy's BLAS check, so vdot runs its plain C loop, sum = 0; sum += t *
+  1.0, in index order, writing no array; t * 1.0 is exact, fused or not.
 - The dense product reduces many rows at once over the grid's
   transpose, a C-contiguous cols x rows array (the grid is stored
   column-major), one lane per row: np.einsum("ji,j->i", grid.T, x,
