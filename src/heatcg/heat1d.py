@@ -90,7 +90,8 @@ class AssembledSystem:
 
     A is stored in compressed-row form (crs). Construction verifies the
     structural invariants in O(nnz): the matrix is square, symmetric, and
-    tridiagonal; rhs and cell_centers have length N. matrix is a dense view
+    tridiagonal; rhs and cell_centers have length N. assemble, which builds
+    them so, skips that check through _trusted. matrix is a dense view
     of the same A, derived from crs on first access and then kept; it holds
     N*N entries, so the sparse solve never asks for it.
     """
@@ -132,6 +133,13 @@ class AssembledSystem:
                 f"matrix must be symmetric: ({i},{i + 1}) == {upper.item(i)!r} "
                 f"but ({i + 1},{i}) == {lower.item(i)!r}"
             )
+
+    @classmethod
+    def _trusted(cls, crs: CrsMatrix, rhs: Vector, cell_centers: Vector) -> AssembledSystem:
+        """A system assemble built to the invariants, without re-checking them."""
+        system = object.__new__(cls)
+        system.__dict__.update(crs=crs, rhs=rhs, cell_centers=cell_centers)
+        return system
 
     @cached_property
     def matrix(self) -> DenseMatrix:
@@ -185,7 +193,7 @@ def assemble(p: HeatProblem) -> AssembledSystem:
     rhs = np.zeros(n)
     rhs[0] += c.s_u * p.boundary_left
     rhs[n - 1] += c.s_u * p.boundary_right
-    return AssembledSystem(
+    return AssembledSystem._trusted(
         crs=CrsMatrix._compressed(_finite(band, "assemble"), cols, n),
         rhs=Vector._trusted(_finite(rhs, "assemble"), Orientation.COLUMN),
         cell_centers=cell_centers(p),
