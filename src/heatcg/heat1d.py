@@ -24,9 +24,9 @@ from typing import Literal
 import numpy as np
 
 from ._checks import checked_count, checked_float
-from .cgsolver import CgConfig, CgResult, cg_solve
+from .cgsolver import CgConfig, CgResult, _require_column, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
-from .linalg import _finite, _quiet
+from .linalg import _finite, _quiet, _require_symmetric_tridiagonal
 
 __all__ = [
     "HeatProblem",
@@ -89,9 +89,11 @@ class AssembledSystem:
     """The N x N system A T = b plus the cell center coordinates.
 
     A is stored in compressed-row form (crs). Construction verifies the
-    structural invariants in O(nnz): the matrix is square, symmetric, and
-    tridiagonal; rhs and cell_centers have length N. assemble, which builds
-    them so, skips that check through _trusted. matrix is a dense view
+    field types and the structural invariants in O(nnz): crs is a
+    CrsMatrix, rhs and cell_centers are column Vectors of length N, and
+    the matrix is square, symmetric, and tridiagonal, which
+    linalg._require_symmetric_tridiagonal checks. assemble, which builds
+    them so, skips those checks through _trusted. matrix is a dense view
     of the same A, derived from crs on first access and then kept; it holds
     N*N entries, so the sparse solve never asks for it.
     """
@@ -102,6 +104,10 @@ class AssembledSystem:
 
     def __post_init__(self) -> None:
         m = self.crs
+        if not isinstance(m, CrsMatrix):
+            raise TypeError(f"crs must be a CrsMatrix, got {type(m).__name__}")
+        _require_column(self.rhs, "rhs")
+        _require_column(self.cell_centers, "cell_centers")
         if m.rows != m.cols:
             raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
         n = m.rows
@@ -111,28 +117,7 @@ class AssembledSystem:
             raise ValueError(
                 f"cell_centers length {len(self.cell_centers)} must equal {n}"
             )
-        # stored entries in row order; upper[i] is (i, i+1), lower[i] is (i+1, i), absent 0.0
-        values, cols = m._values, m._col_indices
-        rows = np.repeat(np.arange(n), np.diff(m._row_ptr))
-        offset = cols - rows
-        off_band = np.flatnonzero(np.abs(offset) > 1)
-        if off_band.size:
-            k = off_band[0]
-            raise ValueError(
-                f"matrix must be tridiagonal: nonzero {values.item(k)!r} "
-                f"at ({rows.item(k)},{cols.item(k)})"
-            )
-        upper = np.zeros(n)
-        lower = np.zeros(n)
-        upper[rows[offset == 1]] = values[offset == 1]
-        lower[cols[offset == -1]] = values[offset == -1]
-        asymmetric = np.flatnonzero(upper != lower)
-        if asymmetric.size:
-            i = int(asymmetric[0])
-            raise ValueError(
-                f"matrix must be symmetric: ({i},{i + 1}) == {upper.item(i)!r} "
-                f"but ({i + 1},{i}) == {lower.item(i)!r}"
-            )
+        _require_symmetric_tridiagonal(m)
 
     @classmethod
     def _trusted(cls, crs: CrsMatrix, rhs: Vector, cell_centers: Vector) -> AssembledSystem:

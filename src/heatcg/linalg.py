@@ -78,6 +78,12 @@ heat1d's assemble and analytic profile) carry one non-finite check, so
 overflow still raises ValueError (see _quiet); transpose, to_dense and
 dense_to_crs only rearrange checked values and check nothing.
 
+linalg alone reads a CrsMatrix's arrays and answers its structural
+questions: _entry_rows gives the row of each stored entry (to_dense and
+the product's passes use it), and _require_symmetric_tridiagonal refuses
+a square one that is not symmetric tridiagonal, naming its first
+offending entry in row order (heat1d's AssembledSystem calls it).
+
 Each operation has one kernel, on arrays and unchecked: _dense_kernel,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
 scratch) arrays its caller gives it, and _running_sum writes nothing.
@@ -425,8 +431,7 @@ class CrsMatrix:
 
     def to_dense(self) -> DenseMatrix:
         grid = np.zeros((self._rows, self._cols), order="F")
-        rows = np.repeat(np.arange(self._rows), np.diff(self._row_ptr))
-        grid[rows, self._col_indices] = self._values
+        grid[_entry_rows(self._row_ptr), self._col_indices] = self._values
         return DenseMatrix._trusted(self._rows, self._cols, grid)
 
     def _key(self) -> tuple:
@@ -447,6 +452,42 @@ class CrsMatrix:
         )
 
 
+def _entry_rows(row_ptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry, in storage order: row i, row_ptr[i+1] - row_ptr[i] times."""
+    return np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
+
+
+def _require_symmetric_tridiagonal(m: CrsMatrix) -> None:
+    """Refuse a square m that is not symmetric tridiagonal, naming its first offending entry.
+
+    An entry off the three central diagonals is named first, the first in
+    row order; then the first (i, i+1) that differs from (i+1, i), an
+    absent entry counting as 0.0. O(nnz) time, O(rows) memory.
+    """
+    values, cols = m._values, m._col_indices
+    rows = _entry_rows(m._row_ptr)
+    offset = cols - rows
+    off_band = np.flatnonzero(np.abs(offset) > 1)
+    if off_band.size:
+        k = off_band[0]
+        raise ValueError(
+            f"matrix must be tridiagonal: nonzero {values.item(k)!r} "
+            f"at ({rows.item(k)},{cols.item(k)})"
+        )
+    # upper[i] is (i, i+1) and lower[i] is (i+1, i): a bin holds at most one
+    # entry and 0.0 + v is v, so each is the stored value or 0 (int zeros when
+    # no entry lands, which float() turns into the message's 0.0)
+    upper = np.bincount(rows[offset == 1], values[offset == 1], m.rows)
+    lower = np.bincount(cols[offset == -1], values[offset == -1], m.rows)
+    asymmetric = np.flatnonzero(upper != lower)
+    if asymmetric.size:
+        i = int(asymmetric[0])
+        raise ValueError(
+            f"matrix must be symmetric: ({i},{i + 1}) == {float(upper[i])!r} "
+            f"but ({i + 1},{i}) == {float(lower[i])!r}"
+        )
+
+
 def _product_passes(
     values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray
 ) -> tuple[tuple, ...]:
@@ -464,14 +505,13 @@ def _product_passes(
     """
     if not len(values):
         return ()
-    lengths = np.diff(row_ptr)
-    rows = np.repeat(np.arange(len(lengths)), lengths)
+    rows = _entry_rows(row_ptr)
     offsets = col_indices - rows
     for by_position in (False, True):
         key = np.arange(len(values)) - row_ptr[rows] if by_position else offsets
         order = np.argsort(key, kind="stable")  # stable: rows stay increasing
         bounds = np.flatnonzero(np.diff(key[order])) + 1
-        if len(bounds) < lengths.max():
+        if len(bounds) < np.diff(row_ptr).max():  # the longest row's length
             break
     passes = []
     for group in np.split(order, bounds):

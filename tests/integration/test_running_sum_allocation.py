@@ -1,6 +1,6 @@
 """A running sum writes no array: its allocation does not grow with the terms.
 
-linalg._running_sum runs numpy's 1-D matmul loop over the terms and a
+linalg._running_sum runs np.vdot's non-BLAS loop over the terms and a
 cached zero-stride view of 1.0, so on 4,000 terms it allocates a scalar
 and, on a length's first call, that view: a few hundred bytes. A prefix
 array of the terms (np.add.accumulate, np.cumsum) would take 32,000 bytes.

@@ -1,8 +1,9 @@
-"""linalg._running_sum is numpy's non-BLAS 1-D matmul loop: the left-to-right sum from +0.0.
+"""linalg._running_sum is np.vdot's non-BLAS loop: the left-to-right sum from +0.0.
 
-_running_sum(terms) is float(np.matmul(terms, ones)) with ones a read-only
-zero-stride view of 1.0. numpy's BLAS check refuses the zero stride, so
-matmul runs its plain C loop, sum = 0; sum += t * 1.0, in index order.
+_running_sum(terms) is float(np.vdot(terms, ones)) with ones a read-only
+zero-stride view of 1.0, which vdot reshapes as a view. numpy's BLAS check
+refuses the zero stride, so vdot runs its plain C loop, sum = 0; sum +=
+t * 1.0, in index order.
 That must equal a pure-Python loop that starts at +0.0, bit for bit, on
 signed zeros, subnormals, magnitudes from 1e-300 to 1e300 and x, -x pairs
 that cancel, for a contiguous, a strided (a grid column, as the one-row
