@@ -15,10 +15,13 @@ One generator, _steps, runs these recurrences (Hestenes and Stiefel, 1952)
 in place on one workspace per solve (per call for cg_init and cg_step) in
 the expression order of phi + alpha d, r - alpha A d and r + beta d, so the
 bits are those of fresh arrays; cg_solve drives it to the tolerance or the
-cap, cg_step takes one step. numpy converts a Python float operand on every
-call, so alpha and beta reach it as 0-d arrays, and the loop's names are
-bound once. A breakdown is raised before phi, r or d change. No input
-changes, and each returned Vector owns N floats.
+cap, cg_step takes one step. _steps yields rT r alone, the one float the
+driver reads per step. numpy converts a Python float operand on every
+call, so alpha and beta live in the workspace as 0-d arrays, made once
+per workspace, which cg_step reads back as floats; the loop's names are
+bound once. A breakdown is raised before phi, r or d change, and a
+residual that already vanished before the product. No input changes, and
+each returned Vector owns N floats.
 
 Overflow raises ValueError. rT r is checked after initialization and
 after every step, which covers r; d and phi are checked once, on return.
@@ -68,10 +71,11 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class CgBreakdownError(ArithmeticError):
-    """A denominator became exactly zero while the residual was nonzero.
+    """A denominator became exactly zero: dT A d, or the rT r of a residual that already vanished.
 
     For a symmetric positive definite operator dT A d vanishes only when
-    d is zero, so a breakdown flags a degenerate or indefinite system.
+    d is zero, so with a nonzero residual a breakdown flags a degenerate
+    or indefinite system. cg_step on a converged state names rT r instead.
     """
 
 
@@ -177,15 +181,16 @@ class CgResult:
 
 
 class _Workspace:
-    """Copies of phi, r and d, then A d and scratch, and the operator bound to them."""
+    """Copies of phi, r and d; A d, scratch and the operator bound to them; 0-d alpha and beta."""
 
-    __slots__ = ("phi", "r", "d", "ad", "scratch", "product")
+    __slots__ = ("phi", "r", "d", "ad", "scratch", "product", "alpha", "beta")
 
     def __init__(self, operator: OperatorLike, phi: np.ndarray, r: np.ndarray,
                  d: np.ndarray) -> None:
         self.phi, self.r, self.d = phi.copy(), r.copy(), d.copy()
         self.ad, self.scratch = np.empty(len(d)), np.empty(len(d))
         self.product = _bind(operator, len(d), self.d, self.ad, self.scratch)
+        self.alpha, self.beta = np.zeros(()), np.zeros(())
 
 
 def _start(operator: OperatorLike, b: Vector, x0: Optional[Vector], caller: str,
@@ -207,18 +212,23 @@ def _start(operator: OperatorLike, b: Vector, x0: Optional[Vector], caller: str,
     return ws, r_dot_r
 
 
-def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[tuple[float, float, float]]:
-    """Steps n + 1, n + 2, ... in place on the workspace; rT r, alpha and beta after each.
+def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[float]:
+    """Steps n + 1, n + 2, ... in place on the workspace; rT r after each.
 
-    A breakdown raises before phi, r or d change; rT r must be finite, and then so is r.
-    Names, linalg._running_sum too, are read once, when the first step starts, and the
-    0-d operands alpha_ and beta_ are made then, one pair per generator; the floats are
-    yielded, so no state holds an array a later step overwrites.
+    A breakdown raises before phi, r or d change, and a vanished residual
+    before the product; rT r must be finite, and then so is r. Names,
+    linalg._running_sum too, are read once, when the first step starts.
+    alpha and beta are written into the workspace's 0-d operands, which
+    hold the last step's values.
     """
     phi, r, d, ad, scratch, product = ws.phi, ws.r, ws.d, ws.ad, ws.scratch, ws.product
     running_sum, multiply, add, subtract = linalg._running_sum, np.multiply, np.add, np.subtract
-    alpha_, beta_ = np.empty(()), np.empty(())
+    alpha, beta, isfinite = ws.alpha, ws.beta, math.isfinite
     while True:
+        if r_dot_r == 0.0:
+            raise CgBreakdownError(
+                f"rT r is exactly zero at iteration {n}; residual already vanished"
+            )
         product()
         d_dot_r = running_sum(multiply(d, r, scratch))
         d_dot_ad = running_sum(multiply(d, ad, scratch))
@@ -227,22 +237,16 @@ def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[tuple[float, floa
                 f"dT A d is exactly zero at iteration {n}; "
                 f"operator is degenerate or not positive definite"
             )
-        if r_dot_r == 0.0:
-            raise CgBreakdownError(
-                f"rT r is exactly zero at iteration {n}; residual already vanished"
-            )
-        alpha = d_dot_r / d_dot_ad
-        alpha_[()] = alpha
-        add(phi, multiply(alpha_, d, scratch), phi)
-        subtract(r, multiply(alpha_, ad, scratch), r)
+        alpha[()] = d_dot_r / d_dot_ad
+        add(phi, multiply(alpha, d, scratch), phi)
+        subtract(r, multiply(alpha, ad, scratch), r)
         r_dot_r_next = running_sum(multiply(r, r, scratch))
-        if not math.isfinite(r_dot_r_next):
+        if not isfinite(r_dot_r_next):
             raise ValueError(f"cg: rT r overflowed to {r_dot_r_next!r}")
-        beta = r_dot_r_next / r_dot_r
-        beta_[()] = beta
-        add(r, multiply(beta_, d, d), d)
+        beta[()] = r_dot_r_next / r_dot_r
+        add(r, multiply(beta, d, d), d)
         r_dot_r, n = r_dot_r_next, n + 1
-        yield r_dot_r, alpha, beta
+        yield r_dot_r
 
 
 def _column(array: np.ndarray, op: str) -> Vector:
@@ -261,14 +265,17 @@ def cg_init(operator: OperatorLike, b: Vector, x0: Vector) -> CgState:
 def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     """Advance one iteration; A d is evaluated exactly once.
 
-    Raises CgBreakdownError when dT A d or rT r is exactly zero (no
-    epsilon test: an SPD operator only produces zero for a zero vector).
+    Raises CgBreakdownError when rT r is exactly zero (checked first, so
+    a converged state names its residual and spends no product) or dT A d
+    is (no epsilon test: an SPD operator only produces zero for a zero
+    vector).
     """
     ws = _Workspace(operator, state.phi._array, state.r._array, state.d._array)
-    r_dot_r, alpha, beta = next(_steps(ws, state.r_dot_r, state.n))
+    r_dot_r = next(_steps(ws, state.r_dot_r, state.n))
     return CgState(
         phi=_column(ws.phi, "cg_step"), r=Vector._trusted(ws.r, Orientation.COLUMN),
-        d=_column(ws.d, "cg_step"), alpha=alpha, beta=beta, n=state.n + 1, r_dot_r=r_dot_r,
+        d=_column(ws.d, "cg_step"), alpha=ws.alpha.item(), beta=ws.beta.item(),
+        n=state.n + 1, r_dot_r=r_dot_r,
     )
 
 
@@ -287,7 +294,7 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     n, breakdown, residual_norm, steps = 0, False, sqrt(r_dot_r), _steps(ws, r_dot_r, 0)
     try:
         while residual_norm > tolerance and n < cap:
-            r_dot_r, _, _ = next(steps)
+            r_dot_r = next(steps)
             n += 1
             residual_norm = sqrt(r_dot_r)
     except CgBreakdownError:

@@ -16,18 +16,18 @@ expression whose summation order is pinned:
   1.0, in index order, writing no array; t * 1.0 is exact, fused or not.
 - The dense product reduces many rows at once over the grid's
   transpose, a C-contiguous cols x rows array (the grid is stored
-  column-major), one lane per row: np.einsum("ji,j->i", grid.T, x,
-  optimize=False) in one pass, or np.multiply into a terms array and
-  np.add.reduce(terms, axis=0) + 0.0. Both add each column j into all
-  the lanes in turn from +0.0, so every lane adds its terms in column
-  order, and its bits are its running sum's. einsum multiply-adds
-  through numpy's SIMD muladd, which is fused (one rounding, not two) on
-  aarch64 and on builds whose baseline has FMA3, so it runs only after a
-  once-per-process probe (_einsum_folds) finds its bits equal to the
-  multiply-then-reduce pair's. A single lane would collapse into a
+  column-major), one lane per row: einsum("ji,j->i", grid.T, x) in one
+  pass, or np.multiply into a terms array and np.add.reduce(terms,
+  axis=0) + 0.0. Both add each column j into all the lanes in turn from
+  +0.0, so every lane adds its terms in column order, and its bits are
+  its running sum's. einsum multiply-adds through numpy's SIMD muladd,
+  which is fused (one rounding, not two) on aarch64 and on builds whose
+  baseline has FMA3, so it runs only after a once-per-process probe
+  (_einsum_folds) finds its bits equal to the multiply-then-reduce
+  pair's. A single lane would collapse into a
   contiguous reduction, which numpy sums pairwise, so one row is a
   running sum instead.
-- The sparse product runs passes built once per matrix,
+- The sparse product runs passes built on a matrix's first product,
   acc[rows] += vals * x[cols], each holding at most one entry per row.
   One rule groups the entries by a key, in increasing key order: the
   diagonal offset col - row, or, when there are more diagonals than
@@ -46,21 +46,27 @@ zero-stride operand into BLAS ddot, which differed from the loop on 450
 of 500 random normal vectors (numpy 2.4); matmul runs vdot's loop behind
 a dearer gufunc dispatch; np.vecdot needs numpy 2.0. add.reduce is
 allowed only over the outer axis of a C-contiguous array with at least
-two lanes, and np.einsum only as "ji,j->i" with optimize=False over a
+two lanes, and einsum only as "ji,j->i" on optimize=False's C path over a
 C-contiguous transpose with at least two rows, after the probe: elsewhere
 einsum sums a row as a dot product and add.reduce's order is unspecified
 (pairwise, blocked or BLAS). The orders of that vdot, an outer-axis
 add.reduce and einsum are numpy implementation properties, not documented
 guarantees; tests pin all three against a pure-Python loop.
 
-vdot and einsum run without numpy's __array_function__ dispatch (NEP
-18): _undispatched resolves each to the implementation behind its
-dispatcher, vdot once at import and einsum where a product is bound, or
-keeps the function where it has none. The kernels pass only float64
-ndarrays, which that dispatch can never hand to an override, so it only
-costs time: about 0.1 µs of a 0.6 µs vdot at N = 400 and 0.4-0.5 µs of a
-9 µs einsum at N = 200 (numpy 2.4). The same code runs on the same
-operands, so the bits cannot change.
+The einsum the dense product and its probe call is resolved by _einsum()
+where a product is bound: numpy's C einsum, the c_einsum that
+np.einsum(..., optimize=False) calls with the same operands and out,
+while np.einsum is numpy's own (imported from numpy._core.multiarray, or
+numpy.core.multiarray on numpy 1.x). That skips the dispatcher and the
+Python wrapper: about 0.75 µs of an 8.3 µs np.einsum call at N = 200,
+0.35 µs of it the wrapper (numpy 2.4). vdot, and an np.einsum a test has
+replaced, run without numpy's __array_function__ dispatch (NEP 18):
+_undispatched resolves each to the implementation behind its dispatcher,
+vdot once at import, or keeps the function where it has none. The
+kernels pass only float64 ndarrays, which that dispatch can never hand
+to an override, so it only costs time: about 0.1 µs of a 0.6 µs vdot at
+N = 400. The same C code runs on the same operands, so the bits cannot
+change.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -90,7 +96,8 @@ scratch) arrays its caller gives it, and _running_sum writes nothing.
 _dense_kernel and _crs_kernel bind a matrix to its arrays once and
 return the product as a function of no arguments: _dense_kernel picks
 einsum or the pair there, and gives the pair its one cols x rows terms
-buffer, and _crs_kernel binds the passes. So the CG loop, which
+buffer, and _crs_kernel binds the passes, building them on the matrix's
+first product. So the CG loop, which
 multiplies the same arrays at every step, allocates nothing per product.
 The public functions add the checks and Vectors around the kernels and
 give them fresh arrays (_crs_product(m, x) does so for _crs_kernel). The
@@ -323,9 +330,12 @@ class CrsMatrix:
     Construction validates the full invariant set: offsets start at 0,
     never decrease, and end at len(values); column indices are in range
     and strictly increasing within each row; no stored value is zero.
+    The product's passes are built on the first product and kept: a
+    matrix that is only solved dense, converted, compared, hashed or
+    printed never builds them.
     """
 
-    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_passes")
+    __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_built_passes")
 
     def __init__(
         self,
@@ -404,7 +414,13 @@ class CrsMatrix:
         self._values = values
         self._col_indices = col_indices
         self._row_ptr = row_ptr
-        self._passes = _product_passes(values, col_indices, row_ptr)
+        self._built_passes = None
+
+    @property
+    def _passes(self) -> tuple[tuple, ...]:
+        if self._built_passes is None:
+            self._built_passes = _product_passes(self._values, self._col_indices, self._row_ptr)
+        return self._built_passes
 
     @property
     def rows(self) -> int:
@@ -491,7 +507,7 @@ def _require_symmetric_tridiagonal(m: CrsMatrix) -> None:
 def _product_passes(
     values: np.ndarray, col_indices: np.ndarray, row_ptr: np.ndarray
 ) -> tuple[tuple, ...]:
-    """The (rows, values, cols) passes of the sparse product, built once per matrix.
+    """The (rows, values, cols) passes of the sparse product, built on a matrix's first product.
 
     One rule groups the entries by a key: the diagonal offset col - row,
     or, when there are more diagonals than entries in the longest row (a
@@ -621,6 +637,30 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
         )
 
 
+_NUMPY_EINSUM = np.einsum  # numpy's own, as imported; a test may replace np.einsum
+try:  # the C function behind np.einsum(..., optimize=False)
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:  # neither: the public np.einsum runs
+        _c_einsum = None
+
+
+def _einsum() -> Callable:
+    """The einsum the dense product and its probe call, as np.einsum(..., optimize=False).
+
+    numpy's C c_einsum while np.einsum is numpy's own: with optimize=False
+    its Python wrapper only returns c_einsum(*operands, out=out), so the
+    same C function runs on the same operands. A replaced np.einsum (or a
+    numpy without c_einsum) is called past any dispatch, with optimize=False.
+    """
+    einsum = np.einsum
+    if einsum is _NUMPY_EINSUM and _c_einsum is not None:
+        return _c_einsum
+    return functools.partial(_undispatched(einsum), optimize=False)
+
+
 def _einsum_probe() -> tuple[np.ndarray, np.ndarray]:
     """A fixed C-contiguous cols x rows grid and its x, built without np.random.
 
@@ -642,16 +682,16 @@ def _einsum_probe() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _einsum_folds() -> bool:
-    """Whether einsum's dense product has the pair's bits on this numpy; never raises.
+    """Whether _einsum()'s dense product has the pair's bits on this numpy; never raises.
 
     Run on the first dense product, once per process: the pair is pinned
     against a Python loop by tests, and einsum may fuse its multiply-add.
+    It calls the callable _einsum() resolves, as _dense_kernel binds it.
     """
     grid, x = _einsum_probe()
     pair = np.add.reduce(np.multiply(grid, x[:, None]), axis=0) + 0.0
     try:
-        einsum = _undispatched(np.einsum)  # the callable _dense_kernel binds
-        folded = einsum("ji,j->i", grid, x, out=np.empty(len(pair)), optimize=False)
+        folded = _einsum()("ji,j->i", grid, x, out=np.empty(len(pair)))
         return folded.tobytes() == pair.tobytes()
     except Exception:  # any failure selects the pair, which is always right
         return False
@@ -662,16 +702,16 @@ def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[]
 
     Each row is a running sum in column order. With at least two rows, a
     C-contiguous grid transpose (the column-major grid) and an einsum
-    that passes _einsum_folds, the product is one einsum pass over the
-    grid, with no buffer. Otherwise a cols x rows terms buffer, allocated
-    here once, takes terms[j, i] = grid[i, j] * x[j], and the reduce over
-    axis 0 adds each column j into every row's lane in turn. out must not
-    overlap x.
+    that passes _einsum_folds, the product is one pass of the einsum
+    _einsum() resolves over the grid (numpy's C c_einsum, bound here
+    with its operands and out), with no buffer. Otherwise a cols x rows
+    terms buffer, allocated here once, takes terms[j, i] = grid[i, j] *
+    x[j], and the reduce over axis 0 adds each column j into every row's
+    lane in turn. out must not overlap x.
     """
     grid_t = m._grid.T
     if m.rows >= 2 and grid_t.flags.c_contiguous and _einsum_folds():
-        einsum = _undispatched(np.einsum)  # read per matrix, as the probe reads it
-        return functools.partial(einsum, "ji,j->i", grid_t, x, out=out, optimize=False)
+        return functools.partial(_einsum(), "ji,j->i", grid_t, x, out=out)
     terms, column = np.empty((m.cols, m.rows)), x[:, None]
 
     def product() -> np.ndarray:
@@ -705,6 +745,7 @@ def _crs_kernel(
 ) -> Callable[[], np.ndarray]:
     """m times x over the matrix's passes, bound to these arrays; unchecked.
 
+    Binding reads m._passes, which builds the passes on m's first product.
     The returned function writes the product into out, each row from +0.0,
     and returns out. A sliced pass is bound here, once, to views of out, x
     and scratch (at least as long as the longest pass), so it runs as one
