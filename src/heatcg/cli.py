@@ -20,18 +20,46 @@ binary64 exactly, so identical options produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import sys
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import (  # through the package, so importing cli loads all five modules
-    DEFAULT_UNIT_BUDGET_MS, CgConfig, HeatProblem, HeatSolution, Layer, ManifestError,
-    TestStatus, cell_centers, parse_manifest, pyramid_report, render_report, solve_heat,
-)
+# the commands use nothing of numkit, which loads no numpy; two readers need
+# `python -X importtime -c "import heatcg.cli"` to list it: perfbench/run.py
+# import_probes, which reads cumulative["heatcg.numkit"], and
+# test_traced_import_of_the_cli_lists_numkit_and_cli
+from . import numkit  # noqa: F401
 from ._checks import checked_real
 
+if TYPE_CHECKING:
+    from .heat1d import HeatProblem, HeatSolution
+
 __all__ = ["build_parser", "main"]
+
+# The library names the commands call, and the module of each. They load on
+# first use (PEP 562), so a run loads only its own command's modules: pyramid
+# no numpy, solve and verify no auditor.
+_LIBRARY = {
+    "CgConfig": "cgsolver",
+    **dict.fromkeys(("HeatProblem", "cell_centers", "solve_heat"), "heat1d"),
+    **dict.fromkeys(("DEFAULT_UNIT_BUDGET_MS", "Layer", "ManifestError", "TestStatus",
+                     "parse_manifest", "pyramid_report", "render_report"), "testpyramid"),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_LIBRARY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+# the commands read library names through the module, not as bare globals: the
+# read reaches __getattr__, and a name patched on cli is the one called
+_cli = sys.modules[__name__]
 
 
 class _Refused(Exception):
@@ -61,22 +89,64 @@ def _positive_real(text: str) -> float:
 
 
 def _add_solve_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cells", type=int, default=HeatProblem.number_of_cells,
+    problem, config = _cli.HeatProblem, _cli.CgConfig
+    sub.add_argument("--cells", type=int, default=problem.number_of_cells,
                      help="number of cells (default %(default)s)")
-    sub.add_argument("--gamma", type=float, default=HeatProblem.gamma,
+    sub.add_argument("--gamma", type=float, default=problem.gamma,
                      help="diffusivity (default %(default)s)")
-    sub.add_argument("--length", type=float, default=HeatProblem.domain_length,
+    sub.add_argument("--length", type=float, default=problem.domain_length,
                      help="domain length (default %(default)s)")
-    sub.add_argument("--t-left", type=float, default=HeatProblem.boundary_left,
+    sub.add_argument("--t-left", type=float, default=problem.boundary_left,
                      help="left boundary value (default %(default)s)")
-    sub.add_argument("--t-right", type=float, default=HeatProblem.boundary_right,
+    sub.add_argument("--t-right", type=float, default=problem.boundary_right,
                      help="right boundary value (default %(default)s)")
-    sub.add_argument("--max-iters", type=int, default=CgConfig.max_iterations,
+    sub.add_argument("--max-iters", type=int, default=config.max_iterations,
                      help="iteration cap (default %(default)s)")
-    sub.add_argument("--tol", type=float, default=CgConfig.tolerance,
+    sub.add_argument("--tol", type=float, default=config.tolerance,
                      help="absolute residual tolerance (default %(default)s)")
     sub.add_argument("--storage", choices=("dense", "crs"), default="dense",
                      help="operator storage handed to the solver (default dense)")
+
+
+def _solve_options(sub: argparse.ArgumentParser) -> None:
+    _add_solve_options(sub)
+    sub.add_argument("--out", default=None, help="write CSV here instead of standard output")
+
+
+def _verify_options(sub: argparse.ArgumentParser) -> None:
+    _add_solve_options(sub)
+    sub.add_argument(
+        "--threshold", type=_positive_real, default=1e-8,
+        help="acceptance bound on the L2 error (default 1e-8)",
+    )
+
+
+def _pyramid_options(sub: argparse.ArgumentParser) -> None:
+    budget = _cli.DEFAULT_UNIT_BUDGET_MS
+    sub.add_argument("manifest", help="path to a layer,name,duration_ms,status CSV")
+    sub.add_argument(
+        "--unit-budget-ms", type=_positive_real, default=budget,
+        help=f"duration budget for unit tests (default {budget:g})",
+    )
+
+
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: add_options(self) adds its options on the first parse,
+    so the modules their defaults come from load only for the command that runs."""
+
+    def __init__(self, *args, add_options: Callable[[argparse.ArgumentParser], None],
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+        # "-1e3" is a value: no option starts with -<digit>
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def parse_known_args(self, args: Optional[Sequence[str]] = None,
+                         namespace: Optional[argparse.Namespace] = None):
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return super().parse_known_args(args, namespace)
 
 
 def _physical_memory() -> Optional[int]:
@@ -93,36 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve the steady 1D heat equation with conjugate gradients "
         "and audit test pyramids.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     solve = commands.add_parser(
-        "solve", help="solve and emit an x,temperature CSV profile"
+        "solve", help="solve and emit an x,temperature CSV profile", add_options=_solve_options
     )
-    _add_solve_options(solve)
-    solve.add_argument("--out", default=None, help="write CSV here instead of standard output")
     solve.set_defaults(func=cmd_solve, subparser=solve)
-
     verify = commands.add_parser(
-        "verify", help="solve and check the error against the analytic profile"
-    )
-    _add_solve_options(verify)
-    verify.add_argument(
-        "--threshold", type=_positive_real, default=1e-8,
-        help="acceptance bound on the L2 error (default 1e-8)",
+        "verify", help="solve and check the error against the analytic profile",
+        add_options=_verify_options,
     )
     verify.set_defaults(func=cmd_verify, subparser=verify)
-
     pyramid = commands.add_parser(
-        "pyramid", help="audit a test-run manifest for pyramid shape"
-    )
-    pyramid.add_argument("manifest", help="path to a layer,name,duration_ms,status CSV")
-    pyramid.add_argument(
-        "--unit-budget-ms", type=_positive_real, default=DEFAULT_UNIT_BUDGET_MS,
-        help=f"duration budget for unit tests (default {DEFAULT_UNIT_BUDGET_MS:g})",
+        "pyramid", help="audit a test-run manifest for pyramid shape",
+        add_options=_pyramid_options,
     )
     pyramid.set_defaults(func=cmd_pyramid, subparser=pyramid)
-    for sub in (solve, verify, pyramid):  # "-1e3" is a value: no option starts with -<digit>
-        sub._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -133,14 +188,14 @@ def _heat_command(
 
     def command(args: argparse.Namespace) -> int:
         try:  # invalid values surface as exit 2 with a usage message
-            problem = HeatProblem(
+            problem = _cli.HeatProblem(
                 gamma=args.gamma,
                 domain_length=args.length,
                 number_of_cells=args.cells,
                 boundary_left=args.t_left,
                 boundary_right=args.t_right,
             )
-            config = CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
+            config = _cli.CgConfig(max_iterations=args.max_iters, tolerance=args.tol)
         except (TypeError, ValueError) as exc:
             args.subparser.error(str(exc))
         # refused before allocating: under lazy overcommit the allocation
@@ -157,7 +212,7 @@ def _heat_command(
             raise _Refused(f"a {args.storage} solve at N = {args.cells} {held.format(need)}, "
                            f"more than this machine's {memory}{hint}")
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
-            solution = solve_heat(problem, config, storage=args.storage)
+            solution = _cli.solve_heat(problem, config, storage=args.storage)
         except (ValueError, ArithmeticError) as exc:
             raise _Refused(f"arithmetic left the binary64 range: {exc}")
         except MemoryError as exc:
@@ -174,7 +229,7 @@ def _heat_command(
 
 @_heat_command
 def cmd_solve(args: argparse.Namespace, problem: HeatProblem, solution: HeatSolution) -> int:
-    rows = zip(cell_centers(problem).components, solution.temperature.components)
+    rows = zip(_cli.cell_centers(problem).components, solution.temperature.components)
     _emit("x,temperature\n" + "".join(f"{_fmt(x)},{_fmt(t)}\n" for x, t in rows), args.out)
     cg = solution.cg
     print(
@@ -218,22 +273,21 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise _Refused(f"cannot read manifest: {exc}")
     try:
-        records = parse_manifest(text)
-    except ManifestError as exc:
+        records = _cli.parse_manifest(text)
+    except _cli.ManifestError as exc:
         raise _Refused(str(exc))
-    report = pyramid_report(records, unit_budget_ms=args.unit_budget_ms)
-    _emit(render_report(report))
+    report = _cli.pyramid_report(records, unit_budget_ms=args.unit_budget_ms)
+    _emit(_cli.render_report(report))
     if not report.pyramid_ok:
-        counts = report.layer_counts
+        counts, layer = report.layer_counts, _cli.Layer
         print(
-            f"pyramid violated: unit={counts[Layer.UNIT]} "
-            f"integration={counts[Layer.INTEGRATION]} system={counts[Layer.SYSTEM]}",
+            f"pyramid violated: unit={counts[layer.UNIT]} "
+            f"integration={counts[layer.INTEGRATION]} system={counts[layer.SYSTEM]}",
             file=sys.stderr,
         )
         return 3
-    bad_statuses = (
-        report.status_counts[TestStatus.FAIL] + report.status_counts[TestStatus.TIMEOUT]
-    )
+    statuses, status = report.status_counts, _cli.TestStatus
+    bad_statuses = statuses[status.FAIL] + statuses[status.TIMEOUT]
     if bad_statuses or report.slow_unit_tests:
         print(
             f"audit failed: {bad_statuses} failing/timed-out tests, "

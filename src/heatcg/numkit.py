@@ -7,7 +7,9 @@ supported by one rule: the two inputs and the tolerance multiplier are
 rounded to the selected precision's numpy float type, and every
 intermediate step is performed in that type. numpy supplies that
 arithmetic here; it is not this module's alone, since linalg keeps every
-vector and matrix in float64 arrays and runs its kernels in numpy.
+vector and matrix in float64 arrays and runs its kernels in numpy. Importing
+this module loads no numpy: it loads on the first comparison, or the first
+read of an epsilon.
 
 Caveat: when exactly one argument is zero the threshold collapses to
 eps * tolerance * |other|, which is smaller than |other| for any sane
@@ -22,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
-
-import numpy as np
 
 from ._checks import checked_float, checked_real
 
@@ -45,8 +45,8 @@ class Precision(Enum):
     DOUBLE = "double"
 
 
-# The float type each width rounds to; np.finfo gives its epsilon.
-_FLOAT_TYPE = {Precision.SINGLE: np.float32, Precision.DOUBLE: np.float64}
+# The name of numpy's float type each width rounds to; np.finfo gives its epsilon.
+_FLOAT_TYPE = {Precision.SINGLE: "float32", Precision.DOUBLE: "float64"}
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ class FloatCompareSpec:
     @property
     def epsilon(self) -> float:
         """Machine epsilon of the selected precision."""
+        import numpy as np
+
         return float(np.finfo(_FLOAT_TYPE[self.precision_kind]).eps)
 
 
@@ -84,9 +86,11 @@ def approx_eq(a: float, b: float, spec: FloatCompareSpec = FloatCompareSpec()) -
     the difference first, then the larger magnitude, then the scaled-epsilon
     threshold. Non-finite or non-float inputs fail fast.
     """
+    import numpy as np
+
     a = _require_float(a, "a")
     b = _require_float(b, "b")
-    kind = _FLOAT_TYPE[spec.precision_kind]
+    kind = getattr(np, _FLOAT_TYPE[spec.precision_kind])
     with np.errstate(over="ignore"):  # an overflow is the ValueError below, or an inf step
         x, y, tolerance = kind(a), kind(b), kind(spec.tolerance_multiplier)
         if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(tolerance)):

@@ -38,7 +38,8 @@ def run_python(code, *argv):
     return proc.stdout
 
 
-def test_importing_the_entry_point_turns_the_collector_off_before_numpy_loads():
+def test_importing_the_entry_point_turns_the_collector_off_before_numpy_loads(tmp_path):
+    # a pyramid run loads no numpy; the solve after it loads numpy once, collector off
     code = """
 import gc, sys
 seen = []
@@ -47,10 +48,15 @@ class Watch:
         if name == "numpy":
             seen.append(gc.isenabled())
 sys.meta_path.insert(0, Watch())
-import heatcg.__main__
-print(gc.isenabled(), seen)
+import heatcg.__main__ as entry
+pyramid = entry.main(["pyramid", sys.argv[1]]), list(seen)
+solve = entry.main(["solve", "--cells", "3"]), list(seen)
+print(pyramid, solve, gc.isenabled())
 """
-    assert run_python(code) == "False [False]\n"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST, encoding="utf-8")
+    last = run_python(code, str(manifest)).splitlines()[-1]
+    assert last == "(3, []) (0, [False]) False"
 
 
 @pytest.mark.parametrize(
