@@ -22,9 +22,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI, then freeze the heap so the collection at shutdown skips it.
 
     Freezing keeps the normal shutdown: output is flushed and atexit handlers run.
+    Data stdout could not take, which cli.main has reported, goes to os.devnull:
+    the flush at shutdown would fail on it again and exit 120 (see the note on
+    SIGPIPE in the signal module's documentation).
     """
     try:
-        return cli.main(argv)
+        status = cli.main(argv)
+        try:
+            if sys.stdout is not None:  # None when fd 1 was closed at start-up
+                sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return status
     finally:  # also on an argparse exit, which raises SystemExit
         gc.freeze()
 

@@ -49,7 +49,7 @@ import numpy as np
 from . import linalg
 from ._checks import checked_count, checked_real
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
-from .linalg import _crs_kernel, _dense_kernel, _finite
+from .linalg import _crs_kernel, _dense_kernel, _finite, _require_column
 
 __all__ = [
     "CgBreakdownError",
@@ -110,14 +110,6 @@ def _bind(operator: OperatorLike, n: int, x: np.ndarray, out: np.ndarray,
         return out
 
     return apply
-
-
-def _require_column(v: Vector, label: str) -> Vector:
-    if not isinstance(v, Vector):
-        raise TypeError(f"{label} must be a Vector, got {type(v).__name__}")
-    if v.orientation is not Orientation.COLUMN:
-        raise ValueError(f"{label} must be a column vector, got {v.orientation.value}")
-    return v
 
 
 @dataclass(frozen=True)

@@ -204,11 +204,11 @@ def _heat_command(
         # a CRS solve holds at least its band, 3N float64 values and intp columns
         dense, memory = args.storage == "dense", _physical_memory()
         need = 16 * args.cells**2 if dense else 48 * args.cells
+        hint = "; --storage crs needs O(N) memory" if dense else ""
         if memory is not None and need > memory:
             held = ("can need {} bytes (up to two N x N grids: the matrix, and the products' "
                     "terms where numpy's einsum rounds differently)" if dense else
                     "needs at least {} bytes (a band of 3N float64 values and intp columns)")
-            hint = "; --storage crs needs O(N) memory" if dense else ""
             raise _Refused(f"a {args.storage} solve at N = {args.cells} {held.format(need)}, "
                            f"more than this machine's {memory}{hint}")
         try:  # finite but extreme options can overflow, or underflow dx or gamma/dx
@@ -216,7 +216,6 @@ def _heat_command(
         except (ValueError, ArithmeticError) as exc:
             raise _Refused(f"arithmetic left the binary64 range: {exc}")
         except MemoryError as exc:
-            hint = "; --storage crs needs O(N) memory" if args.storage == "dense" else ""
             raise _Refused(f"out of memory: {exc}{hint}")
         status, cg = report(args, problem, solution), solution.cg
         if not (cg.converged or cg.breakdown) and args.max_iters < args.cells:

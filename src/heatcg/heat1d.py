@@ -24,9 +24,9 @@ from typing import Literal
 import numpy as np
 
 from ._checks import checked_count, checked_float
-from .cgsolver import CgConfig, CgResult, _require_column, cg_solve
+from .cgsolver import CgConfig, CgResult, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
-from .linalg import _finite, _quiet, _require_symmetric_tridiagonal
+from .linalg import _finite, _quiet, _require_column, _require_symmetric_tridiagonal
 
 __all__ = [
     "HeatProblem",
@@ -90,9 +90,9 @@ class AssembledSystem:
 
     A is stored in compressed-row form (crs). Construction verifies the
     field types and the structural invariants in O(nnz): crs is a
-    CrsMatrix, rhs and cell_centers are column Vectors of length N, and
-    the matrix is square, symmetric, and tridiagonal, which
-    linalg._require_symmetric_tridiagonal checks. assemble, which builds
+    CrsMatrix that is square, symmetric, and tridiagonal, which
+    linalg._require_symmetric_tridiagonal checks first, and rhs and
+    cell_centers are column Vectors of length N. assemble, which builds
     them so, skips those checks through _trusted. matrix is a dense view
     of the same A, derived from crs on first access and then kept; it holds
     N*N entries, so the sparse solve never asks for it.
@@ -106,18 +106,9 @@ class AssembledSystem:
         m = self.crs
         if not isinstance(m, CrsMatrix):
             raise TypeError(f"crs must be a CrsMatrix, got {type(m).__name__}")
-        _require_column(self.rhs, "rhs")
-        _require_column(self.cell_centers, "cell_centers")
-        if m.rows != m.cols:
-            raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
-        n = m.rows
-        if len(self.rhs) != n:
-            raise ValueError(f"rhs length {len(self.rhs)} must equal {n}")
-        if len(self.cell_centers) != n:
-            raise ValueError(
-                f"cell_centers length {len(self.cell_centers)} must equal {n}"
-            )
         _require_symmetric_tridiagonal(m)
+        _require_column(self.rhs, "rhs", m.rows)
+        _require_column(self.cell_centers, "cell_centers", m.rows)
 
     @classmethod
     def _trusted(cls, crs: CrsMatrix, rhs: Vector, cell_centers: Vector) -> AssembledSystem:

@@ -10,63 +10,37 @@ expression whose summation order is pinned:
 - Elementwise +, - and * are exact per element, so vec_scale, vec_add
   and vec_sub cannot depend on any order.
 - Every reduction of one vector (dot, l2_norm) is a running sum,
-  np.vdot(terms, ones), ones a read-only zero-stride view of 1.0 that
-  vdot reshapes as a view (np.ravel would copy it). A zero stride fails
-  numpy's BLAS check, so vdot runs its plain C loop, sum = 0; sum += t *
-  1.0, in index order, writing no array; t * 1.0 is exact, fused or not.
-- The dense product reduces many rows at once over the grid's
-  transpose, a C-contiguous cols x rows array (the grid is stored
-  column-major), one lane per row: einsum("ji,j->i", grid.T, x) in one
-  pass, or np.multiply into a terms array and np.add.reduce(terms,
-  axis=0) + 0.0. Both add each column j into all the lanes in turn from
-  +0.0, so every lane adds its terms in column order, and its bits are
-  its running sum's. einsum multiply-adds through numpy's SIMD muladd,
-  which is fused (one rounding, not two) on aarch64 and on builds whose
-  baseline has FMA3, so it runs only after a once-per-process probe
-  (_einsum_folds) finds its bits equal to the multiply-then-reduce
-  pair's. A single lane would collapse into a
-  contiguous reduction, which numpy sums pairwise, so one row is a
-  running sum instead.
-- The sparse product runs passes built on a matrix's first product,
-  acc[rows] += vals * x[cols], each holding at most one entry per row.
-  One rule groups the entries by a key, in increasing key order: the
-  diagonal offset col - row, or, when there are more diagonals than
-  entries in the longest row, the position k in the row. A group on
-  contiguous rows and one diagonal is indexed by slices. Either way each
-  row adds its stored entries in increasing column order to an
-  accumulator that starts at +0.0.
+  np.vdot(terms, ones), ones a read-only zero-stride view of 1.0. A zero
+  stride fails numpy's BLAS check, so vdot runs its plain C loop, sum =
+  0; sum += t * 1.0, in index order, writing no array; t * 1.0 is exact,
+  fused or not.
+- The dense product (_dense_kernel) gives each row one lane over the
+  grid's transpose and adds each column j into all the lanes in turn
+  from +0.0: one einsum pass, or np.multiply and an outer-axis
+  np.add.reduce. einsum may fuse its multiply-add (one rounding, not
+  two), so it runs only after a once-per-process probe (_einsum_folds)
+  finds its bits equal to the pair's. A single row is a running sum.
+- The sparse product (_crs_kernel) runs passes acc[rows] += vals *
+  x[cols], each holding at most one entry per row, in an order that adds
+  each row's stored entries in increasing column order from +0.0.
 
 A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
 the same matrix. Several tests and the solver rely on that contract, so
 np.sum, np.dot, np.matmul and @ stay banned, and np.vdot is used only as
-_running_sum's np.vdot(terms, _ones(len(terms))). np.dot copies a
-zero-stride operand into BLAS ddot, which differed from the loop on 450
-of 500 random normal vectors (numpy 2.4); matmul runs vdot's loop behind
-a dearer gufunc dispatch; np.vecdot needs numpy 2.0. add.reduce is
-allowed only over the outer axis of a C-contiguous array with at least
-two lanes, and einsum only as "ji,j->i" on optimize=False's C path over a
-C-contiguous transpose with at least two rows, after the probe: elsewhere
-einsum sums a row as a dot product and add.reduce's order is unspecified
-(pairwise, blocked or BLAS). The orders of that vdot, an outer-axis
-add.reduce and einsum are numpy implementation properties, not documented
-guarantees; tests pin all three against a pure-Python loop.
-
-The einsum the dense product and its probe call is resolved by _einsum()
-where a product is bound: numpy's C einsum, the c_einsum that
-np.einsum(..., optimize=False) calls with the same operands and out,
-while np.einsum is numpy's own (imported from numpy._core.multiarray, or
-numpy.core.multiarray on numpy 1.x). That skips the dispatcher and the
-Python wrapper: about 0.75 µs of an 8.3 µs np.einsum call at N = 200,
-0.35 µs of it the wrapper (numpy 2.4). vdot, and an np.einsum a test has
-replaced, run without numpy's __array_function__ dispatch (NEP 18):
-_undispatched resolves each to the implementation behind its dispatcher,
-vdot once at import, or keeps the function where it has none. The
-kernels pass only float64 ndarrays, which that dispatch can never hand
-to an override, so it only costs time: about 0.1 µs of a 0.6 µs vdot at
-N = 400. The same C code runs on the same operands, so the bits cannot
-change.
+_running_sum's np.vdot(terms, _ones(len(terms))): np.dot copies a
+zero-stride operand into BLAS ddot, whose order differs, and np.vecdot
+needs numpy 2.0. add.reduce is allowed only over the outer axis of a
+C-contiguous array with at least two lanes, and einsum only as
+"ji,j->i" on optimize=False's C path over a C-contiguous transpose with
+at least two rows, after the probe: elsewhere einsum sums a row as a dot
+product and add.reduce's order is unspecified (pairwise, blocked or
+BLAS). The orders of that vdot, an outer-axis add.reduce and einsum are
+numpy implementation properties, not documented guarantees; tests pin
+all three against a pure-Python loop. vdot and einsum are called past
+numpy's __array_function__ dispatch (_undispatched, _einsum): the same C
+code runs on the same operands, so the bits cannot change.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -75,34 +49,25 @@ indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
 and CrsMatrix constructors hold every component to the real-number rule
-of _checks.checked_float, the one place that rule lives. Values heatcg
-computes itself go through the trusted constructors instead:
-Vector._trusted, DenseMatrix._trusted, and CrsMatrix._compressed, which
-keeps the nonzeros of a grid row by row and builds the row offsets.
-Results of arithmetic (the vector kernels, matvec, crs_matvec, mat_scale,
-heat1d's assemble and analytic profile) carry one non-finite check, so
-overflow still raises ValueError (see _quiet); transpose, to_dense and
-dense_to_crs only rearrange checked values and check nothing.
+of _checks.checked_float. Values heatcg computes itself go through the
+trusted constructors instead: Vector._trusted, DenseMatrix._trusted, and
+CrsMatrix._compressed. Results of arithmetic (the vector kernels, matvec,
+crs_matvec, mat_scale, heat1d's assemble and analytic profile) carry one
+non-finite check, so overflow still raises ValueError (see _quiet);
+transpose, to_dense and dense_to_crs only rearrange checked values.
 
-linalg alone reads a CrsMatrix's arrays and answers its structural
-questions: _entry_rows gives the row of each stored entry (to_dense and
-the product's passes use it), and _require_symmetric_tridiagonal refuses
-a square one that is not symmetric tridiagonal, naming its first
-offending entry in row order (heat1d's AssembledSystem calls it).
+linalg alone reads a CrsMatrix's arrays and owns the operand rules the
+other modules share: _entry_rows gives the row of each stored entry,
+_require_symmetric_tridiagonal refuses a matrix that is not square,
+symmetric and tridiagonal, and _require_column a Vector that is not a
+column of the expected length.
 
 Each operation has one kernel, on arrays and unchecked: _dense_kernel,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
-scratch) arrays its caller gives it, and _running_sum writes nothing.
-_dense_kernel and _crs_kernel bind a matrix to its arrays once and
-return the product as a function of no arguments: _dense_kernel picks
-einsum or the pair there, and gives the pair its one cols x rows terms
-buffer, and _crs_kernel binds the passes, building them on the matrix's
-first product. So the CG loop, which
-multiplies the same arrays at every step, allocates nothing per product.
-The public functions add the checks and Vectors around the kernels and
-give them fresh arrays (_crs_product(m, x) does so for _crs_kernel). The
-CG loop (cgsolver) enters errstate once per call and checks for overflow
-itself.
+scratch) arrays its caller gives it, so the CG loop (cgsolver), which
+binds its matrix to its arrays once, allocates nothing per product. The
+public functions add the checks and Vectors around the kernels. The CG
+loop enters errstate once per call and checks for overflow itself.
 """
 
 from __future__ import annotations
@@ -474,12 +439,15 @@ def _entry_rows(row_ptr: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric_tridiagonal(m: CrsMatrix) -> None:
-    """Refuse a square m that is not symmetric tridiagonal, naming its first offending entry.
+    """Refuse m unless it is square, symmetric and tridiagonal, naming its first fault.
 
-    An entry off the three central diagonals is named first, the first in
-    row order; then the first (i, i+1) that differs from (i+1, i), an
-    absent entry counting as 0.0. O(nnz) time, O(rows) memory.
+    A matrix that is not square is named by its shape; then an entry off the
+    three central diagonals, the first in row order; then the first (i, i+1)
+    that differs from (i+1, i), an absent entry counting as 0.0. O(nnz)
+    time, O(rows) memory.
     """
+    if m.rows != m.cols:
+        raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     values, cols = m._values, m._col_indices
     rows = _entry_rows(m._row_ptr)
     offset = cols - rows
@@ -625,6 +593,17 @@ def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix._trusted(m.rows, m.cols, _finite(grid, "mat_scale"))
 
 
+def _require_column(v: Vector, label: str, length: Optional[int] = None) -> Vector:
+    """Return v if it is a column Vector, of the given length if one is given."""
+    if not isinstance(v, Vector):
+        raise TypeError(f"{label} must be a Vector, got {type(v).__name__}")
+    if v.orientation is not Orientation.COLUMN:
+        raise ValueError(f"{label} must be a column vector, got {v.orientation.value}")
+    if length is not None and len(v) != length:
+        raise ValueError(f"{label} length {len(v)} must equal {length}")
+    return v
+
+
 def _require_column_operand(m_cols: int, v: Vector) -> None:
     if v.orientation is not Orientation.COLUMN:
         raise ValueError(
@@ -638,13 +617,8 @@ def _require_column_operand(m_cols: int, v: Vector) -> None:
 
 
 _NUMPY_EINSUM = np.einsum  # numpy's own, as imported; a test may replace np.einsum
-try:  # the C function behind np.einsum(..., optimize=False)
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:
-    try:  # numpy 1.x
-        from numpy.core.multiarray import c_einsum as _c_einsum
-    except ImportError:  # neither: the public np.einsum runs
-        _c_einsum = None
+# the C function np.einsum(..., optimize=False) calls, read from its own module's globals
+_c_einsum = getattr(_undispatched(np.einsum), "__globals__", {}).get("c_einsum")
 
 
 def _einsum() -> Callable:
