@@ -41,13 +41,12 @@ yield bitwise identical iterates (see linalg).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from . import linalg
-from ._checks import checked_count, checked_real
+from ._checks import checked_count, checked_real, frozen
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
 from .linalg import _crs_kernel, _dense_kernel, _finite, _require_column
 
@@ -112,7 +111,7 @@ def _bind(operator: OperatorLike, n: int, x: np.ndarray, out: np.ndarray,
     return apply
 
 
-@dataclass(frozen=True)
+@frozen
 class CgConfig:
     """Solve parameters: iteration cap, absolute residual tolerance, start."""
 
@@ -127,7 +126,7 @@ class CgConfig:
             _require_column(self.initial_guess, "initial_guess")
 
 
-@dataclass(frozen=True)
+@frozen
 class CgState:
     """One iteration's full state: iterate, residual, direction, scalars.
 
@@ -157,7 +156,7 @@ class CgState:
             object.__setattr__(self, "r_dot_r", dot(self.r.transpose(), self.r))
 
 
-@dataclass(frozen=True)
+@frozen
 class CgResult:
     """Solver outcome; converged implies residual_norm <= tolerance.
 

@@ -73,6 +73,8 @@ def _fmt(value: float) -> str:
 def _emit(text: str, path: Optional[str] = None) -> None:
     """Write a command's data to path, or to stdout flushed, so a failed write raises here."""
     if path is None:
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
         sys.stdout.flush()
     else:
@@ -130,7 +132,17 @@ def _pyramid_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-class _Command(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help goes through _emit: a failed write raises, not lost or left buffered."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help())
+        else:
+            super().print_help(file)
+
+
+class _Command(_Parser):
     """A subcommand's parser: add_options(self) adds its options on the first parse,
     so the modules their defaults come from load only for the command that runs."""
 
@@ -158,7 +170,7 @@ def _physical_memory() -> Optional[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatcg",
         description="Solve the steady 1D heat equation with conjugate gradients "
         "and audit test pyramids.",
@@ -298,10 +310,10 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:  # reported with the usage of the subcommand that was run
-        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    try:
+    try:  # --help writes to stdout while parsing
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:  # reported with the usage of the subcommand that was run
+            args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except _Refused as exc:  # the message only: a kept exception would hold its frames
         message = str(exc)

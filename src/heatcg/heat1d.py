@@ -17,13 +17,12 @@ error only, at any resolution.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from ._checks import checked_count, checked_float
+from ._checks import checked_count, checked_float, frozen
 from .cgsolver import CgConfig, CgResult, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
 from .linalg import _finite, _quiet, _require_column, _require_symmetric_tridiagonal
@@ -43,7 +42,7 @@ __all__ = [
 Storage = Literal["dense", "crs"]
 
 
-@dataclass(frozen=True)
+@frozen
 class HeatProblem:
     """Problem definition: diffusivity, domain, resolution, boundary values."""
 
@@ -61,7 +60,7 @@ class HeatProblem:
         checked_count(self.number_of_cells, "number_of_cells", 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class StencilCoefficients:
     """Derived per-cell coefficients; the identities are validated."""
 
@@ -84,7 +83,7 @@ class StencilCoefficients:
             raise ValueError(f"s_u must equal -s_p, got {self.s_u!r} and {self.s_p!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class AssembledSystem:
     """The N x N system A T = b plus the cell center coordinates.
 
@@ -122,7 +121,7 @@ class AssembledSystem:
         return self.crs.to_dense()
 
 
-@dataclass(frozen=True)
+@frozen
 class HeatSolution:
     """Solve outcome: temperatures, solver diagnostics, error vs analytic."""
 

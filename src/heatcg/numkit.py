@@ -21,11 +21,10 @@ would avoid this but is intentionally not provided here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from ._checks import checked_float, checked_real
+from ._checks import checked_float, checked_real, frozen
 
 __all__ = [
     "Precision",
@@ -49,7 +48,7 @@ class Precision(Enum):
 _FLOAT_TYPE = {Precision.SINGLE: "float32", Precision.DOUBLE: "float64"}
 
 
-@dataclass(frozen=True)
+@frozen
 class FloatCompareSpec:
     """Parameters for approx_eq: tolerance in multiples of machine epsilon."""
 
@@ -100,7 +99,7 @@ def approx_eq(a: float, b: float, spec: FloatCompareSpec = FloatCompareSpec()) -
         return bool(abs(x - y) <= max(abs(x), abs(y)) * np.finfo(kind).eps * tolerance)
 
 
-@dataclass(frozen=True)
+@frozen
 class ComplexNumber:
     """Immutable complex value with exact componentwise addition."""
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from ._checks import checked_float, checked_real
+from ._checks import checked_float, checked_real, frozen
 
 __all__ = [
     "Layer",
@@ -73,7 +72,7 @@ class ManifestError(ValueError):
     """Malformed manifest text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@frozen
 class TestRecord:
     """One test's layer, human-readable name, duration, and outcome."""
 
@@ -113,7 +112,7 @@ def _check_name(name: str) -> None:
         raise ValueError(f"name must not contain line breaks: {name!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class PyramidReport:
     """Aggregate counts plus the shape verdict and unit-budget offenders."""
 
