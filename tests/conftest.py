@@ -1,17 +1,20 @@
 """Shared test configuration.
 
-Two responsibilities: deterministic property-test settings, and an
-opt-in manifest recorder. Running pytest with --manifest-out=PATH writes
-a layer,name,duration_ms,status CSV describing the run, with the layer
-taken from the tests/unit, tests/integration, tests/system directory the
-test lives in. Tests outside those directories are not recorded.
+Three responsibilities: deterministic property-test settings, an
+opt-in manifest recorder, and hypothesis's start-up run before the
+first test, so that no test's duration carries it. Running pytest with
+--manifest-out=PATH writes a layer,name,duration_ms,status CSV
+describing the run, with the layer taken from the tests/unit,
+tests/integration, tests/system directory the test lives in. Tests
+outside those directories are not recorded.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatcg.testpyramid import Layer, TestRecord, TestStatus, render_manifest
 
@@ -91,3 +94,25 @@ def pytest_configure(config):
     path = config.getoption("--manifest-out")
     if path:
         config.pluginmanager.register(_ManifestRecorder(path), "manifest-recorder")
+
+
+def pytest_collection_finish(session):
+    """Pay hypothesis's once-a-process start-up before the first test runs.
+
+    The first @given call in a process registers numpy's PRNG behind a
+    gc.collect(), and the first random integer draw that asks for a
+    constant (one in twenty) scans every loaded module for constants:
+    60-70 ms together, which would count against whichever property test
+    runs first and push it over a unit test's 100 ms budget. The first
+    example is the simplest one and draws nothing at random, so a few
+    examples of 100 integers each make sure the scan happens here. Run
+    after collection, when the test modules and what they import are
+    loaded, it sees the same modules the first test would have seen.
+    """
+
+    @given(st.lists(st.integers(), min_size=100, max_size=100))
+    @settings(max_examples=5, database=None)
+    def start_hypothesis(_):
+        pass
+
+    start_hypothesis()
