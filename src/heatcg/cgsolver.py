@@ -48,7 +48,7 @@ import numpy as np
 from . import linalg
 from ._checks import checked_count, checked_real, frozen
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
-from .linalg import _crs_kernel, _dense_kernel, _finite, _require_column
+from .linalg import _crs_kernel, _dense_kernel, _finite, _require_column, _require_same_length
 
 __all__ = [
     "CgBreakdownError",
@@ -190,10 +190,7 @@ def _start(operator: OperatorLike, b: Vector, x0: Optional[Vector], caller: str,
     _require_column(b, "b")
     if x0 is None:
         x0 = Vector._trusted(np.zeros(len(b)), Orientation.COLUMN)
-    if len(b) != len(x0):
-        raise ValueError(
-            f"{caller}: b and {guess} lengths must match, got {len(b)} and {len(x0)}"
-        )
+    _require_same_length(len(b), len(x0), caller, f"b and {guess}")
     ws = _Workspace(operator, x0._array, x0._array, x0._array)
     np.subtract(b._array, ws.product(), out=ws.r)
     np.subtract(b._array, ws.ad, out=ws.d)

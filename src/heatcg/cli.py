@@ -176,20 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
         "and audit test pyramids.",
     )
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    solve = commands.add_parser(
-        "solve", help="solve and emit an x,temperature CSV profile", add_options=_solve_options
-    )
-    solve.set_defaults(func=cmd_solve, subparser=solve)
-    verify = commands.add_parser(
-        "verify", help="solve and check the error against the analytic profile",
-        add_options=_verify_options,
-    )
-    verify.set_defaults(func=cmd_verify, subparser=verify)
-    pyramid = commands.add_parser(
-        "pyramid", help="audit a test-run manifest for pyramid shape",
-        add_options=_pyramid_options,
-    )
-    pyramid.set_defaults(func=cmd_pyramid, subparser=pyramid)
+    for name, summary, add_options, func in (
+        ("solve", "solve and emit an x,temperature CSV profile", _solve_options, cmd_solve),
+        ("verify", "solve and check the error against the analytic profile", _verify_options,
+         cmd_verify),
+        ("pyramid", "audit a test-run manifest for pyramid shape", _pyramid_options, cmd_pyramid),
+    ):
+        command = commands.add_parser(name, help=summary, add_options=add_options)
+        command.set_defaults(func=func, subparser=command)
     return parser
 
 
@@ -290,12 +284,8 @@ def cmd_pyramid(args: argparse.Namespace) -> int:
     report = _cli._tally(*columns, args.unit_budget_ms)
     _emit(_cli.render_report(report))
     if not report.pyramid_ok:
-        counts, layer = report.layer_counts, _cli.Layer
-        print(
-            f"pyramid violated: unit={counts[layer.UNIT]} "
-            f"integration={counts[layer.INTEGRATION]} system={counts[layer.SYSTEM]}",
-            file=sys.stderr,
-        )
+        counts = " ".join(f"{layer.value}={report.layer_counts[layer]}" for layer in _cli.Layer)
+        print(f"pyramid violated: {counts}", file=sys.stderr)
         return 3
     statuses, status = report.status_counts, _cli.TestStatus
     bad_statuses = statuses[status.FAIL] + statuses[status.TIMEOUT]

@@ -59,8 +59,8 @@ transpose, to_dense and dense_to_crs only rearrange checked values.
 linalg alone reads a CrsMatrix's arrays and owns the operand rules the
 other modules share: _entry_rows gives the row of each stored entry,
 _require_symmetric_tridiagonal refuses a matrix that is not square,
-symmetric and tridiagonal, and _require_column a Vector that is not a
-column of the expected length.
+symmetric and tridiagonal, _require_column a Vector that is not a
+column of the expected length, and _require_same_length unequal lengths.
 
 Each operation has one kernel, on arrays and unchecked: _dense_kernel,
 _crs_kernel and _running_sum. A kernel writes only into the output (and
@@ -350,6 +350,7 @@ class CrsMatrix:
                     f"row_ptr must be non-decreasing: row_ptr[{k}] == {row_ptr[k]} "
                     f"> row_ptr[{k + 1}] == {row_ptr[k + 1]}"
                 )
+        for k in range(rows):  # with the offsets checked, each is in [0, len(values)]
             for j in range(row_ptr[k] + 1, row_ptr[k + 1]):
                 if col_indices[j - 1] >= col_indices[j]:
                     raise ValueError(
@@ -541,9 +542,13 @@ def vec_scale(s: float, v: Vector) -> Vector:
     return Vector._trusted(_finite(s * v._array, "vec_scale"), v.orientation)
 
 
+def _require_same_length(n1: int, n2: int, op: str, what: str = "vector") -> None:
+    if n1 != n2:
+        raise ValueError(f"{op}: {what} lengths must match, got {n1} and {n2}")
+
+
 def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
-    if len(v1) != len(v2):
-        raise ValueError(f"{op}: vector lengths must match, got {len(v1)} and {len(v2)}")
+    _require_same_length(len(v1), len(v2), op)
     if v1.orientation is not v2.orientation:
         raise ValueError(
             f"{op}: vector orientations must match, got {v1.orientation.value} "
@@ -575,8 +580,7 @@ def dot(v1: Vector, v2: Vector) -> float:
         raise ValueError(
             f"dot: right operand must be a column vector, got {v2.orientation.value}"
         )
-    if len(v1) != len(v2):
-        raise ValueError(f"dot: vector lengths must match, got {len(v1)} and {len(v2)}")
+    _require_same_length(len(v1), len(v2), "dot")
     return _running_sum(v1._array * v2._array)
 
 
