@@ -5,13 +5,13 @@ layered suite on it:
 
     python -m pytest -x -q -p no:cacheprovider tests/unit tests/integration tests/system
 
-A mutant is killed when that run fails or outlasts the timeout, and
+A mutant is killed when that run fails or outlasts TIMEOUT seconds, and
 survives when it passes. Docstrings, imports, def and class statements and
 __all__ are never replaced, nor is `pass` itself. Mutants run one at a
 time, each in the same copy of the repository made in a temporary
 directory: the checkout is never edited. Run from the repository root:
 
-    python tools/mutants.py [--timeout SECONDS] [MODULE ...]
+    python tools/mutants.py [MODULE ...]
 
 MODULE is a path such as src/heatcg/cli.py; the default is every module of
 src/heatcg. One JSON line per mutant, then the kill count per module and
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUITE = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          "tests/unit", "tests/integration", "tests/system"]
+TIMEOUT = 300.0  # seconds one suite run may take
 _KEPT = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
          ast.Pass)
 
@@ -74,14 +75,14 @@ def mutate(source: str, stmt: ast.stmt) -> str:
     return (raw[:start] + b"pass" + raw[end:]).decode("utf-8")
 
 
-def _run(tree: Path, timeout: float) -> tuple[str, float]:
+def _run(tree: Path) -> tuple[str, float]:
     """'killed', 'timeout' or 'survived', and the seconds the suite took."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen(SUITE, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = proc.wait(timeout)
+        code = proc.wait(TIMEOUT)
     except subprocess.TimeoutExpired:
         code = None
     finally:  # after a timeout or an interrupt: the suite and every process it started
@@ -96,8 +97,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", metavar="MODULE",
                         help="module paths (default: every module of src/heatcg)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds one suite run may take (default %(default)s)")
     args = parser.parse_args(argv)
     modules = args.modules or sorted(str(p.relative_to(ROOT))
                                      for p in (ROOT / "src" / "heatcg").glob("*.py"))
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
             mutant = mutate(source, stmt)
             compile(mutant, module, "exec")  # a mutant that cannot load would count as killed
             (tree / module).write_text(mutant, encoding="utf-8")
-            outcome, seconds = _run(tree, args.timeout)
+            outcome, seconds = _run(tree)
             (tree / module).write_text(source, encoding="utf-8")
             text = ast.get_source_segment(source, stmt).splitlines()[0]
             print(json.dumps({"module": module, "line": stmt.lineno, "statement": text,
