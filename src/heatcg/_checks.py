@@ -1,11 +1,16 @@
-"""Scalar checks shared by every public constructor and function, and frozen.
+"""The input checks shared by every public constructor and function, and frozen.
+
+checked_real, checked_float and checked_count hold a scalar to the
+real-number or count rule; checked_instance holds an operand to its type,
+with the one message "{label} must be a/an {noun}, got {type}".
 
 frozen is @dataclass(frozen=True) for heatcg's value classes. dataclass
 writes each class's __init__, __repr__, __eq__, __hash__, __setattr__ and
 __delattr__ as source text and compiles it every time the module loads;
 frozen installs six written once here instead, so a CLI process compiles
 no code. It lives here because every module with a value class already
-imports the checks.
+imports the checks. linalg.CrsMatrix takes its __eq__ and __hash__ from
+here too, over the fields its __match_args__ names.
 """
 
 import math
@@ -49,6 +54,19 @@ def checked_count(value: object, label: str, minimum: int = 0) -> int:
         raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
     if value < minimum:
         raise ValueError(f"{label} must be >= {minimum}, got {value}")
+    return value
+
+
+def checked_instance(value: object, kind: type, label: str):
+    """Return value unchanged if it is an instance of kind, else a TypeError naming both types.
+
+    The noun is kind's name, "string" for str, after "an" if it starts
+    with a vowel and "a" otherwise.
+    """
+    if not isinstance(value, kind):
+        noun = "string" if kind is str else kind.__name__
+        article = "an" if noun[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{label} must be {article} {noun}, got {type(value).__name__}")
     return value
 
 

@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Optional, Union
 import numpy as np
 
 from . import linalg
-from ._checks import checked_count, checked_real, frozen
+from ._checks import checked_count, checked_instance, checked_real, frozen
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, dot
 from .linalg import _crs_kernel, _dense_kernel, _finite, _require_column, _require_same_length
 
@@ -275,8 +275,7 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     already small enough. A breakdown with the residual still above the
     tolerance is reported as non-convergence with the breakdown flag set.
     """
-    if not isinstance(config, CgConfig):
-        raise TypeError(f"config must be a CgConfig, got {type(config).__name__}")
+    checked_instance(config, CgConfig, "config")
     ws, r_dot_r = _start(operator, b, config.initial_guess, "cg_solve", "initial_guess")
     tolerance, cap, sqrt = config.tolerance, config.max_iterations, math.sqrt
     n, breakdown, residual_norm, steps = 0, False, sqrt(r_dot_r), _steps(ws, r_dot_r, 0)

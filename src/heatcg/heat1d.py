@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._checks import checked_count, checked_float, frozen
+from ._checks import checked_count, checked_float, checked_instance, frozen
 from .cgsolver import CgConfig, CgResult, cg_solve
 from .linalg import CrsMatrix, DenseMatrix, Orientation, Vector, l2_norm, vec_sub
 from .linalg import _finite, _quiet, _require_column, _require_symmetric_tridiagonal
@@ -102,9 +102,7 @@ class AssembledSystem:
     cell_centers: Vector
 
     def __post_init__(self) -> None:
-        m = self.crs
-        if not isinstance(m, CrsMatrix):
-            raise TypeError(f"crs must be a CrsMatrix, got {type(m).__name__}")
+        m = checked_instance(self.crs, CrsMatrix, "crs")
         _require_symmetric_tridiagonal(m)
         _require_column(self.rhs, "rhs", m.rows)
         _require_column(self.cell_centers, "cell_centers", m.rows)

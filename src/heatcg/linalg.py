@@ -49,12 +49,15 @@ indexing).
 
 Inputs are checked once, at the public boundary: the Vector, DenseMatrix
 and CrsMatrix constructors hold every component to the real-number rule
-of _checks.checked_float. Values heatcg computes itself go through the
-trusted constructors instead: Vector._trusted, DenseMatrix._trusted, and
-CrsMatrix._compressed. Results of arithmetic (the vector kernels, matvec,
-crs_matvec, mat_scale, heat1d's assemble and analytic profile) carry one
-non-finite check, so overflow still raises ValueError (see _quiet);
-transpose, to_dense and dense_to_crs only rearrange checked values.
+of _checks.checked_float, and every public operation holds each operand
+to its type through _checks.checked_instance, naming the operation and
+the argument ("crs_matvec: m must be a CrsMatrix, got DenseMatrix").
+Values heatcg computes itself go through the trusted constructors
+instead: Vector._trusted, DenseMatrix._trusted, and CrsMatrix._compressed.
+Results of arithmetic (the vector kernels, matvec, crs_matvec, mat_scale,
+heat1d's assemble and analytic profile) carry one non-finite check, so
+overflow still raises ValueError (see _quiet); transpose, to_dense and
+dense_to_crs only rearrange checked values.
 
 linalg alone reads a CrsMatrix's arrays and owns the operand rules the
 other modules share: _entry_rows gives the row of each stored entry,
@@ -79,7 +82,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._checks import checked_count, checked_float
+from ._checks import _eq, _hash, checked_count, checked_float, checked_instance
 
 __all__ = [
     "Orientation",
@@ -140,13 +143,9 @@ class Vector:
         components: Iterable[float],
         orientation: Orientation = Orientation.COLUMN,
     ) -> None:
-        if not isinstance(orientation, Orientation):
-            raise TypeError(
-                f"orientation must be an Orientation, got {type(orientation).__name__}"
-            )
+        self._orientation = checked_instance(orientation, Orientation, "orientation")
         self._tuple = _checked_components(components, "Vector")
         self._array = np.array(self._tuple, dtype=np.float64)
-        self._orientation = orientation
 
     @classmethod
     def _trusted(
@@ -416,16 +415,9 @@ class CrsMatrix:
         grid[_entry_rows(self._row_ptr), self._col_indices] = self._values
         return DenseMatrix._trusted(self._rows, self._cols, grid)
 
-    def _key(self) -> tuple:
-        return (self._rows, self._cols, self.values, self.col_indices, self.row_ptr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CrsMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    # the fields _checks' shared __eq__ and __hash__ compare and hash, as one tuple
+    __match_args__ = ("rows", "cols", "values", "col_indices", "row_ptr")
+    __eq__, __hash__ = _eq, _hash
 
     def __repr__(self) -> str:
         return (
@@ -538,8 +530,8 @@ def _running_sum(terms: np.ndarray) -> float:
 @_quiet
 def vec_scale(s: float, v: Vector) -> Vector:
     """Scale every component; orientation is preserved."""
-    s = checked_float(s, "scale factor")
-    return Vector._trusted(_finite(s * v._array, "vec_scale"), v.orientation)
+    array = checked_float(s, "scale factor") * checked_instance(v, Vector, "vec_scale: v")._array
+    return Vector._trusted(_finite(array, "vec_scale"), v.orientation)
 
 
 def _require_same_length(n1: int, n2: int, op: str, what: str = "vector") -> None:
@@ -548,6 +540,7 @@ def _require_same_length(n1: int, n2: int, op: str, what: str = "vector") -> Non
 
 
 def _require_same_shape(v1: Vector, v2: Vector, op: str) -> None:
+    v1, v2 = checked_instance(v1, Vector, f"{op}: v1"), checked_instance(v2, Vector, f"{op}: v2")
     _require_same_length(len(v1), len(v2), op)
     if v1.orientation is not v2.orientation:
         raise ValueError(
@@ -571,12 +564,12 @@ def vec_sub(v1: Vector, v2: Vector) -> Vector:
 @_quiet
 def dot(v1: Vector, v2: Vector) -> float:
     """Row times column inner product, accumulated left to right."""
-    if v1.orientation is not Orientation.ROW:
+    if checked_instance(v1, Vector, "dot: v1").orientation is not Orientation.ROW:
         raise ValueError(
             f"dot: left operand must be a row vector (transpose it first), "
             f"got {v1.orientation.value}"
         )
-    if v2.orientation is not Orientation.COLUMN:
+    if checked_instance(v2, Vector, "dot: v2").orientation is not Orientation.COLUMN:
         raise ValueError(
             f"dot: right operand must be a column vector, got {v2.orientation.value}"
         )
@@ -587,29 +580,28 @@ def dot(v1: Vector, v2: Vector) -> float:
 @_quiet
 def l2_norm(v: Vector) -> float:
     """Euclidean norm; bitwise equal to sqrt(dot(v.transpose(), v))."""
-    return math.sqrt(_running_sum(v._array * v._array))
+    array = checked_instance(v, Vector, "l2_norm: v")._array
+    return math.sqrt(_running_sum(array * array))
 
 
 @_quiet
 def mat_scale(s: float, m: DenseMatrix) -> DenseMatrix:
     """Scale every entry; shape is preserved."""
-    grid = checked_float(s, "scale factor") * m._grid
+    grid = checked_float(s, "scale factor") * checked_instance(m, DenseMatrix, "mat_scale: m")._grid
     return DenseMatrix._trusted(m.rows, m.cols, _finite(grid, "mat_scale"))
 
 
 def _require_column(v: Vector, label: str, length: Optional[int] = None) -> Vector:
     """Return v if it is a column Vector, of the given length if one is given."""
-    if not isinstance(v, Vector):
-        raise TypeError(f"{label} must be a Vector, got {type(v).__name__}")
-    if v.orientation is not Orientation.COLUMN:
+    if checked_instance(v, Vector, label).orientation is not Orientation.COLUMN:
         raise ValueError(f"{label} must be a column vector, got {v.orientation.value}")
     if length is not None and len(v) != length:
         raise ValueError(f"{label} length {len(v)} must equal {length}")
     return v
 
 
-def _require_column_operand(m_cols: int, v: Vector) -> None:
-    if v.orientation is not Orientation.COLUMN:
+def _require_column_operand(m_cols: int, v: Vector, op: str) -> None:
+    if checked_instance(v, Vector, f"{op}: v").orientation is not Orientation.COLUMN:
         raise ValueError(
             f"matrix-vector product needs a column vector, got {v.orientation.value}"
         )
@@ -707,15 +699,16 @@ def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[]
 @_quiet
 def matvec(m: DenseMatrix, v: Vector) -> Vector:
     """Dense matrix times column vector, rows accumulated in column order."""
-    _require_column_operand(m.cols, v)
+    _require_column_operand(checked_instance(m, DenseMatrix, "matvec: m").cols, v, "matvec")
     product = _dense_kernel(m, v._array, np.empty(m.rows))()
     return Vector._trusted(_finite(product, "matvec"), Orientation.COLUMN)
 
 
 def dense_to_crs(m: DenseMatrix) -> CrsMatrix:
     """Compress a dense matrix, dropping entries that are exactly zero."""
-    columns = np.broadcast_to(np.arange(m.cols, dtype=np.intp), m._grid.shape)
-    return CrsMatrix._compressed(m._grid, columns, m.cols)
+    grid = checked_instance(m, DenseMatrix, "dense_to_crs: m")._grid
+    columns = np.broadcast_to(np.arange(m.cols, dtype=np.intp), grid.shape)
+    return CrsMatrix._compressed(grid, columns, m.cols)
 
 
 def _crs_kernel(
@@ -764,5 +757,5 @@ def crs_matvec(m: CrsMatrix, v: Vector) -> Vector:
     the dense kernel uses, and skipping exact zeros cannot change any
     partial sum, so results match matvec(m.to_dense(), v) bit for bit.
     """
-    _require_column_operand(m.cols, v)
+    _require_column_operand(checked_instance(m, CrsMatrix, "crs_matvec: m").cols, v, "crs_matvec")
     return Vector._trusted(_finite(_crs_product(m, v._array), "crs_matvec"), Orientation.COLUMN)

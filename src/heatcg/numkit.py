@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Union
 
-from ._checks import checked_float, checked_real, frozen
+from ._checks import checked_float, checked_instance, checked_real, frozen
 
 __all__ = [
     "Precision",
@@ -57,10 +57,7 @@ class FloatCompareSpec:
 
     def __post_init__(self) -> None:
         checked_float(self.tolerance_multiplier, "tolerance_multiplier", "positive")
-        if not isinstance(self.precision_kind, Precision):
-            raise TypeError(
-                f"precision_kind must be a Precision, got {type(self.precision_kind).__name__}"
-            )
+        checked_instance(self.precision_kind, Precision, "precision_kind")
 
     @property
     def epsilon(self) -> float:
@@ -72,9 +69,7 @@ class FloatCompareSpec:
 
 def _require_float(value: object, label: str) -> float:
     # comparison is not defined for integers or other non-float kinds
-    if not isinstance(value, float):
-        raise TypeError(f"{label} must be a float, got {type(value).__name__}")
-    return checked_real(value, label)
+    return checked_real(checked_instance(value, float, label), label)
 
 
 def approx_eq(a: float, b: float, spec: FloatCompareSpec = FloatCompareSpec()) -> bool:

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from ._checks import checked_float, checked_real, frozen
+from ._checks import checked_float, checked_instance, checked_real, frozen
 
 __all__ = [
     "Layer",
@@ -85,15 +85,9 @@ class TestRecord:
     status: TestStatus
 
     def __post_init__(self) -> None:
-        if not isinstance(self.layer, Layer):
-            raise TypeError(f"layer must be a Layer, got {type(self.layer).__name__}")
-        if not isinstance(self.status, TestStatus):
-            raise TypeError(
-                f"status must be a TestStatus, got {type(self.status).__name__}"
-            )
-        if not isinstance(self.name, str):
-            raise TypeError(f"name must be a string, got {type(self.name).__name__}")
-        _check_name(self.name)
+        checked_instance(self.layer, Layer, "layer")
+        checked_instance(self.status, TestStatus, "status")
+        _check_name(checked_instance(self.name, str, "name"))
         duration = checked_float(self.duration_ms, "duration_ms", "non-negative")
         object.__setattr__(self, "duration_ms", duration)
 
@@ -134,9 +128,7 @@ def parse_manifest(text: str) -> list[TestRecord]:
 
 def _columns(text: str) -> tuple[list[Layer], list[str], list[float], list[TestStatus]]:
     """The checked layers, names, durations and statuses of manifest text's rows, in file order."""
-    if not isinstance(text, str):
-        raise TypeError(f"manifest text must be a string, got {type(text).__name__}")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(checked_instance(text, str, "manifest text")))
     layers, names, durations, statuses = columns = ([], [], [], [])
     try:  # csv refuses a field over its size limit (and NUL, before Python 3.11)
         try:
