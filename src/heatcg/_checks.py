@@ -2,7 +2,9 @@
 
 checked_real, checked_float and checked_count hold a scalar to the
 real-number or count rule; checked_instance holds an operand to its type,
-with the one message "{label} must be a/an {noun}, got {type}".
+with the one message "{label} must be a/an {noun}, got {type}". Each rule
+has its one owner here: checked_count is the one integer rule, and
+linalg's element access adds only the index range.
 
 frozen is @dataclass(frozen=True) for heatcg's value classes. dataclass
 writes each class's __init__, __repr__, __eq__, __hash__, __setattr__ and

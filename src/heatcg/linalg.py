@@ -59,8 +59,9 @@ heat1d's assemble and analytic profile) carry one non-finite check, so
 overflow still raises ValueError (see _quiet); transpose, to_dense and
 dense_to_crs only rearrange checked values.
 
-linalg alone reads a CrsMatrix's arrays and owns the operand rules the
-other modules share: _entry_rows gives the row of each stored entry,
+linalg alone reads a CrsMatrix's arrays (tests/unit/test_architecture.py
+holds every module to that) and owns the operand rules the other modules
+share: _entry_rows gives the row of each stored entry,
 _require_symmetric_tridiagonal refuses a matrix that is not square,
 symmetric and tridiagonal, _require_column a Vector that is not a
 column of the expected length, and _require_same_length unequal lengths.
@@ -118,9 +119,8 @@ def _checked_components(values: Iterable[float], context: str) -> tuple[float, .
 
 
 def _checked_index(value: object, limit: int, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
-    if value < 0 or value >= limit:
+    # checked_count's integer rule with no lower bound: the range is an IndexError
+    if not 0 <= checked_count(value, label, -math.inf) < limit:
         raise IndexError(f"{label} {value} out of range [0, {limit})")
     return value
 

@@ -113,8 +113,8 @@ class ComplexNumber:
 
 def complex_add(c1: ComplexNumber, c2: ComplexNumber) -> ComplexNumber:
     """Componentwise sum; the inputs are left unmodified."""
-    if not isinstance(c1, ComplexNumber) or not isinstance(c2, ComplexNumber):
-        raise TypeError("complex_add requires two ComplexNumber values")
+    checked_instance(c1, ComplexNumber, "complex_add: c1")
+    checked_instance(c2, ComplexNumber, "complex_add: c2")
     return ComplexNumber(
         c1.real_part + c2.real_part,
         c1.imaginary_part + c2.imaginary_part,
