@@ -14,12 +14,17 @@ expression whose summation order is pinned:
   stride fails numpy's BLAS check, so vdot runs its plain C loop, sum =
   0; sum += t * 1.0, in index order, writing no array; t * 1.0 is exact,
   fused or not.
-- The dense product (_dense_kernel) gives each row one lane over the
-  grid's transpose and adds each column j into all the lanes in turn
-  from +0.0: one einsum pass, or np.multiply and an outer-axis
-  np.add.reduce. einsum may fuse its multiply-add (one rounding, not
-  two), so it runs only after a once-per-process probe (_einsum_folds)
-  finds its bits equal to the pair's. A single row is a running sum.
+- The dense product (_dense_kernel) runs the sparse product below on
+  the passes of dense_to_crs(m) when they cost less than the grid, as
+  the heat matrix's do from N = 100: chosen once per matrix, on its
+  first product, from its own zero pattern (_cheap_passes). Any other
+  matrix runs the grid form (_grid_kernel), which gives each row one
+  lane over the grid's transpose and adds each column j into all the
+  lanes in turn from +0.0: one einsum pass, or np.multiply and an
+  outer-axis np.add.reduce. einsum may fuse its multiply-add (one
+  rounding, not two), so it runs only after a once-per-process probe
+  (_einsum_folds) finds its bits equal to the pair's. A single row is a
+  running sum.
 - The sparse product (_crs_kernel) runs passes acc[rows] += vals *
   x[cols], each holding at most one entry per row, in an order that adds
   each row's stored entries in increasing column order from +0.0.
@@ -27,20 +32,21 @@ expression whose summation order is pinned:
 A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
-the same matrix. Several tests and the solver rely on that contract, so
-np.sum, np.dot, np.matmul and @ stay banned, and np.vdot is used only as
-_running_sum's np.vdot(terms, _ones(len(terms))): np.dot copies a
-zero-stride operand into BLAS ddot, whose order differs, and np.vecdot
-needs numpy 2.0. add.reduce is allowed only over the outer axis of a
-C-contiguous array with at least two lanes, and einsum only as
-"ji,j->i" on optimize=False's C path over a C-contiguous transpose with
-at least two rows, after the probe: elsewhere einsum sums a row as a dot
-product and add.reduce's order is unspecified (pairwise, blocked or
-BLAS). The orders of that vdot, an outer-axis add.reduce and einsum are
-numpy implementation properties, not documented guarantees; tests pin
-all three against a pure-Python loop. vdot and einsum are called past
-numpy's __array_function__ dispatch (_undispatched, _einsum): the same C
-code runs on the same operands, so the bits cannot change.
+the same matrix, and a DenseMatrix may run either form. Several tests
+and the solver rely on that contract, so np.sum, np.dot, np.matmul and
+@ stay banned, and np.vdot is used only as _running_sum's np.vdot(terms,
+_ones(len(terms))): np.dot copies a zero-stride operand into BLAS ddot,
+whose order differs, and np.vecdot needs numpy 2.0. add.reduce is
+allowed only over the outer axis of a C-contiguous array with at least
+two lanes, and einsum only as "ji,j->i" on optimize=False's C path over
+a C-contiguous transpose with at least two rows, after the probe:
+elsewhere einsum sums a row as a dot product and add.reduce's order is
+unspecified (pairwise, blocked or BLAS). The orders of that vdot, an
+outer-axis add.reduce and einsum are numpy implementation properties,
+not documented guarantees; tests pin all three against a pure-Python
+loop. vdot and einsum are called past numpy's __array_function__
+dispatch (_undispatched, _einsum): the same C code runs on the same
+operands, so the bits cannot change.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -67,11 +73,13 @@ symmetric and tridiagonal, _require_column a Vector that is not a
 column of the expected length, and _require_same_length unequal lengths.
 
 Each operation has one kernel, on arrays and unchecked: _dense_kernel,
-_crs_kernel and _running_sum. A kernel writes only into the output (and
-scratch) arrays its caller gives it, so the CG loop (cgsolver), which
-binds its matrix to its arrays once, allocates nothing per product. The
-public functions add the checks and Vectors around the kernels. The CG
-loop enters errstate once per call and checks for overflow itself.
+_crs_kernel and _running_sum; _dense_kernel binds _crs_kernel or
+_grid_kernel, in the form the matrix chose. A kernel writes only into
+the output (and scratch) arrays its caller gives it or allocates when
+it is bound, so the CG loop (cgsolver), which binds its matrix to its
+arrays once, allocates nothing per product. The public functions add
+the checks and Vectors around the kernels. The CG loop enters errstate
+once per call and checks for overflow itself.
 """
 
 from __future__ import annotations
@@ -209,9 +217,15 @@ class DenseMatrix:
     The product multiplies the grid's transpose, which column-major
     storage makes a C-contiguous cols x rows array; entries, to_rows, at,
     equality, hash and repr read the grid row-major whatever its layout.
+    A matrix whose CRS passes cost less than the grid, such as the heat
+    matrix from N = 100, multiplies by those passes instead, with the same
+    bits: the first product chooses the form from the matrix's own zero
+    pattern and keeps it, with the passes (O(nnz)), for later products.
     """
 
-    __slots__ = ("_rows", "_cols", "_grid")
+    # _built_form is None until the first product chooses the product's form,
+    # then a 1-tuple: the CrsMatrix whose passes it runs, or None for the grid
+    __slots__ = ("_rows", "_cols", "_grid", "_built_form")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
         self._rows = checked_count(rows, "rows")
@@ -224,7 +238,7 @@ class DenseMatrix:
                 f"got {len(checked)}"
             )
         grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
-        self._grid = np.asfortranarray(grid)
+        self._grid, self._built_form = np.asfortranarray(grid), None
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, grid: np.ndarray) -> "DenseMatrix":
@@ -232,7 +246,7 @@ class DenseMatrix:
         self = cls.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._grid = grid
+        self._grid, self._built_form = grid, None
         return self
 
     @classmethod
@@ -247,6 +261,12 @@ class DenseMatrix:
                 )
             flat.extend(row)
         return cls(rows, cols, flat)
+
+    @property
+    def _sparse_form(self) -> Optional["CrsMatrix"]:
+        if self._built_form is None:
+            self._built_form = (_cheap_passes(self),)
+        return self._built_form[0]
 
     @property
     def rows(self) -> int:
@@ -667,8 +687,47 @@ def _einsum_folds() -> bool:
         return False
 
 
+_PASS_COST, _GATHER_COST = 3000, 16  # in entries of the grid product; see _cheap_passes
+
+
+def _cheap_passes(m: DenseMatrix) -> Optional[CrsMatrix]:
+    """dense_to_crs(m) if its passes cost less than m's grid, else None; run on m's first product.
+
+    The passes number the longest row's entries (_product_passes), so a
+    row with no zero, which makes them number cols, keeps the grid: a full
+    first row decides in O(cols), and one count of nonzeros per row rules
+    out the rest before any pass is built. Otherwise the passes are built
+    and compared with the grid's rows * cols entries by one cost rule, in
+    grid entries: _PASS_COST a pass, plus _GATHER_COST for each entry of a
+    pass that gathers rather than slices. Measured with numpy 2.4 on a
+    2-core x86-64 Xeon, a grid entry costs about 0.4 ns, a pass 1.2 us of
+    numpy calls (3000 entries) and a gathered entry 6.5 ns (16 entries).
+    """
+    size, grid = m.rows * m.cols, m._grid
+    if not size or np.count_nonzero(grid[0]) == m.cols:
+        return None
+    longest = int(np.count_nonzero(grid, axis=1).max())
+    if longest == m.cols or _PASS_COST * longest >= size:
+        return None
+    crs = dense_to_crs(m)
+    gathered = sum(len(values) for rows, values, _ in crs._passes if not isinstance(rows, slice))
+    return crs if _PASS_COST * longest + _GATHER_COST * gathered < size else None
+
+
 def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
     """m times x, bound to these arrays; each call writes it into out and returns out; unchecked.
+
+    A matrix whose passes are cheap (_cheap_passes, chosen on its first
+    product and kept) runs _crs_kernel on them, with a scratch array
+    allocated here, and any other the grid (_grid_kernel). Both add each
+    row's nonzero terms in column order from +0.0, so the bits agree.
+    """
+    sparse = m._sparse_form
+    return _grid_kernel(m, x, out) if sparse is None else _crs_kernel(sparse, x, out, np.empty(m.rows))
+
+
+def _grid_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """m times x over the whole grid, bound to these arrays; unchecked.
 
     Each row is a running sum in column order. With at least two rows, a
     C-contiguous grid transpose (the column-major grid) and an einsum

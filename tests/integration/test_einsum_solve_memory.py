@@ -7,7 +7,9 @@ at one grid plus O(N): traced with tracemalloc at N = 300 (720,000
 bytes a grid), within the 1024 bytes a cell of test_dense_solve_memory.
 The multiply-then-reduce pair that runs when the probe fails keeps a
 cols x rows terms buffer for the solve, one more grid, which this
-allowance cannot hold.
+allowance cannot hold. The heat matrix's product runs its sparse passes
+from N = 100, so the pair is traced on the heat matrix plus a positive
+fill: SPD, with no zero entry, so its product keeps the grid.
 """
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from heatcg import linalg
 from heatcg.cgsolver import CgConfig, cg_solve
 from heatcg.heat1d import assemble, solve_heat
+from heatcg.linalg import DenseMatrix
 from test_dense_solve_memory import ALLOWANCE, GRID, PROBLEM, traced_peak
 
 
@@ -23,6 +26,9 @@ def test_a_dense_solve_peaks_at_o_of_n_by_einsum_and_a_grid_more_by_the_pair(ein
     monkeypatch.setattr(linalg, "_einsum_folds", lambda: einsum)
     system = assemble(PROBLEM)
     matrix = system.matrix
+    if not einsum:
+        fill = 1e-3 * matrix.at(0, 0)
+        matrix = DenseMatrix.from_rows([[a + fill for a in row] for row in matrix.to_rows()])
     result, peak = traced_peak(lambda: cg_solve(matrix, system.rhs, CgConfig()))
     assert result.converged
     if einsum:
