@@ -207,7 +207,7 @@ def _heat_command(
         # refused before allocating: under lazy overcommit the allocation
         # succeeds and the first product exhausts the machine. A dense solve can
         # hold two grids, since the fallback grid product keeps an N x N terms
-        # buffer; from N = 100 the heat matrix's product runs its CRS passes and
+        # buffer; from N = 95 the heat matrix's product runs its CRS passes and
         # the solve holds one grid, so 16 N^2 bytes is a safe upper bound. A CRS
         # solve holds at least its band, 3N float64 values and intp columns
         dense, memory = args.storage == "dense", _physical_memory()

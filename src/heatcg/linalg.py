@@ -14,11 +14,11 @@ expression whose summation order is pinned:
   stride fails numpy's BLAS check, so vdot runs its plain C loop, sum =
   0; sum += t * 1.0, in index order, writing no array; t * 1.0 is exact,
   fused or not.
-- The dense product (_dense_kernel) runs the sparse product below on
-  the passes of dense_to_crs(m) when they cost less than the grid, as
-  the heat matrix's do from N = 100: chosen once per matrix, on its
-  first product, from its own zero pattern (_cheap_passes). Any other
-  matrix runs the grid form (_grid_kernel), which gives each row one
+- The dense product (_dense_kernel) of a dense view made by
+  CrsMatrix.to_dense runs the sparse product below on that CrsMatrix's
+  passes when they cost less than the grid, as the heat matrix's do from
+  N = 95: to_dense decides once, in O(rows), from the row lengths. Any
+  other matrix runs the grid form (_grid_kernel), which gives each row one
   lane over the grid's transpose and adds each column j into all the
   lanes in turn from +0.0: one einsum pass, or np.multiply and an
   outer-axis np.add.reduce. einsum may fuse its multiply-add (one
@@ -74,12 +74,12 @@ column of the expected length, and _require_same_length unequal lengths.
 
 Each operation has one kernel, on arrays and unchecked: _dense_kernel,
 _crs_kernel and _running_sum; _dense_kernel binds _crs_kernel or
-_grid_kernel, in the form the matrix chose. A kernel writes only into
-the output (and scratch) arrays its caller gives it or allocates when
-it is bound, so the CG loop (cgsolver), which binds its matrix to its
-arrays once, allocates nothing per product. The public functions add
-the checks and Vectors around the kernels. The CG loop enters errstate
-once per call and checks for overflow itself.
+_grid_kernel, in the form to_dense chose for the matrix. A kernel
+writes only into the output (and scratch) arrays its caller gives it or
+allocates when it is bound, so the CG loop (cgsolver), which binds its
+matrix to its arrays once, allocates nothing per product. The public
+functions add the checks and Vectors around the kernels. The CG loop
+enters errstate once per call and checks for overflow itself.
 """
 
 from __future__ import annotations
@@ -217,15 +217,13 @@ class DenseMatrix:
     The product multiplies the grid's transpose, which column-major
     storage makes a C-contiguous cols x rows array; entries, to_rows, at,
     equality, hash and repr read the grid row-major whatever its layout.
-    A matrix whose CRS passes cost less than the grid, such as the heat
-    matrix from N = 100, multiplies by those passes instead, with the same
-    bits: the first product chooses the form from the matrix's own zero
-    pattern and keeps it, with the passes (O(nnz)), for later products.
+    A view made by CrsMatrix.to_dense whose passes cost less than the grid,
+    such as the heat matrix from N = 95, multiplies by that CrsMatrix's
+    passes instead, with the same bits; any other matrix by the grid.
     """
 
-    # _built_form is None until the first product chooses the product's form,
-    # then a 1-tuple: the CrsMatrix whose passes it runs, or None for the grid
-    __slots__ = ("_rows", "_cols", "_grid", "_built_form")
+    # _sparse: the CrsMatrix whose passes the product runs, or None for the grid
+    __slots__ = ("_rows", "_cols", "_grid", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
         self._rows = checked_count(rows, "rows")
@@ -238,15 +236,17 @@ class DenseMatrix:
                 f"got {len(checked)}"
             )
         grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
-        self._grid, self._built_form = np.asfortranarray(grid), None
+        self._grid, self._sparse = np.asfortranarray(grid), None
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, grid: np.ndarray) -> "DenseMatrix":
-        # grid holds rows x cols finite float64 values: skip the per-component pass
+    def _trusted(cls, rows: int, cols: int, grid: np.ndarray,
+                 sparse: Optional["CrsMatrix"] = None) -> "DenseMatrix":
+        # grid holds rows x cols finite float64 values: skip the per-component pass;
+        # sparse, if given, holds the same matrix
         self = cls.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._grid, self._built_form = grid, None
+        self._grid, self._sparse = grid, sparse
         return self
 
     @classmethod
@@ -261,12 +261,6 @@ class DenseMatrix:
                 )
             flat.extend(row)
         return cls(rows, cols, flat)
-
-    @property
-    def _sparse_form(self) -> Optional["CrsMatrix"]:
-        if self._built_form is None:
-            self._built_form = (_cheap_passes(self),)
-        return self._built_form[0]
 
     @property
     def rows(self) -> int:
@@ -314,9 +308,9 @@ class CrsMatrix:
     Construction validates the full invariant set: offsets start at 0,
     never decrease, and end at len(values); column indices are in range
     and strictly increasing within each row; no stored value is zero.
-    The product's passes are built on the first product and kept: a
-    matrix that is only solved dense, converted, compared, hashed or
-    printed never builds them.
+    The product's passes are built on the first product, its own or its
+    dense view's (to_dense), and kept: a matrix that is only converted,
+    compared, hashed or printed never builds them.
     """
 
     __slots__ = ("_rows", "_cols", "_values", "_col_indices", "_row_ptr", "_built_passes")
@@ -431,9 +425,22 @@ class CrsMatrix:
         return len(self._values)
 
     def to_dense(self) -> DenseMatrix:
+        """The dense view, whose product runs this matrix's passes when they cost less than its grid.
+
+        The passes number the longest row's entries (_product_passes), so a
+        row with no zero keeps the grid; otherwise they are cheap when
+        _PASS_COST * longest < rows * cols. That is decided here from the
+        row lengths, in O(rows); the passes are built on the first product. Measured with numpy 2.4 on a 2-core x86-64 Xeon,
+        a pass costs about 1.2 us of numpy calls, 3000 grid entries of
+        0.4 ns. The rule prices no entry of a pass: the heat matrix's three
+        passes are sliced and short, and no caller converts a matrix with
+        long gathering passes.
+        """
         grid = np.zeros((self._rows, self._cols), order="F")
         grid[_entry_rows(self._row_ptr), self._col_indices] = self._values
-        return DenseMatrix._trusted(self._rows, self._cols, grid)
+        longest = int(np.diff(self._row_ptr).max(initial=0))
+        cheap = longest < self._cols and _PASS_COST * longest < self._rows * self._cols
+        return DenseMatrix._trusted(self._rows, self._cols, grid, self if cheap else None)
 
     # the fields _checks' shared __eq__ and __hash__ compare and hash, as one tuple
     __match_args__ = ("rows", "cols", "values", "col_indices", "row_ptr")
@@ -687,43 +694,20 @@ def _einsum_folds() -> bool:
         return False
 
 
-_PASS_COST, _GATHER_COST = 3000, 16  # in entries of the grid product; see _cheap_passes
-
-
-def _cheap_passes(m: DenseMatrix) -> Optional[CrsMatrix]:
-    """dense_to_crs(m) if its passes cost less than m's grid, else None; run on m's first product.
-
-    The passes number the longest row's entries (_product_passes), so a
-    row with no zero, which makes them number cols, keeps the grid: a full
-    first row decides in O(cols), and one count of nonzeros per row rules
-    out the rest before any pass is built. Otherwise the passes are built
-    and compared with the grid's rows * cols entries by one cost rule, in
-    grid entries: _PASS_COST a pass, plus _GATHER_COST for each entry of a
-    pass that gathers rather than slices. Measured with numpy 2.4 on a
-    2-core x86-64 Xeon, a grid entry costs about 0.4 ns, a pass 1.2 us of
-    numpy calls (3000 entries) and a gathered entry 6.5 ns (16 entries).
-    """
-    size, grid = m.rows * m.cols, m._grid
-    if not size or np.count_nonzero(grid[0]) == m.cols:
-        return None
-    longest = int(np.count_nonzero(grid, axis=1).max())
-    if longest == m.cols or _PASS_COST * longest >= size:
-        return None
-    crs = dense_to_crs(m)
-    gathered = sum(len(values) for rows, values, _ in crs._passes if not isinstance(rows, slice))
-    return crs if _PASS_COST * longest + _GATHER_COST * gathered < size else None
+_PASS_COST = 3000  # a pass of the sparse product, in entries of the grid product; see to_dense
 
 
 def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
     """m times x, bound to these arrays; each call writes it into out and returns out; unchecked.
 
-    A matrix whose passes are cheap (_cheap_passes, chosen on its first
-    product and kept) runs _crs_kernel on them, with a scratch array
-    allocated here, and any other the grid (_grid_kernel). Both add each
-    row's nonzero terms in column order from +0.0, so the bits agree.
+    A view whose CrsMatrix's passes are cheap (CrsMatrix.to_dense) runs
+    _crs_kernel on them, with a scratch array allocated here, and any
+    other matrix the grid (_grid_kernel). Both add each row's nonzero
+    terms in column order from +0.0, so the bits agree.
     """
-    sparse = m._sparse_form
-    return _grid_kernel(m, x, out) if sparse is None else _crs_kernel(sparse, x, out, np.empty(m.rows))
+    if m._sparse is None:
+        return _grid_kernel(m, x, out)
+    return _crs_kernel(m._sparse, x, out, np.empty(m.rows))
 
 
 def _grid_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:

@@ -97,8 +97,8 @@ def test_each_path_solves_like_crs(path, cells):
     dense = solve_heat(problem, CgConfig(), storage="dense")
     crs = solve_heat(problem, CgConfig(), storage="crs")
     assert_components_bitwise(dense.temperature.components, crs.temperature.components, f"{path[0]} N = {cells}")
-    # from N = 100 the heat matrix's dense product runs its sparse passes; the heat
-    # matrix plus a positive fill is SPD with no zero entry, so it keeps the grid
+    # from N = 95 the heat matrix's dense view runs its sparse passes; the heat
+    # matrix plus a positive fill is SPD and built from rows, so it keeps the grid
     system = assemble(problem)
     fill = 1e-3 * system.matrix.at(0, 0)
     full = DenseMatrix.from_rows([[a + fill for a in row] for row in system.matrix.to_rows()])

@@ -7,9 +7,11 @@ at one grid plus O(N): traced with tracemalloc at N = 300 (720,000
 bytes a grid), within the 1024 bytes a cell of test_dense_solve_memory.
 The multiply-then-reduce pair that runs when the probe fails keeps a
 cols x rows terms buffer for the solve, one more grid, which this
-allowance cannot hold. The heat matrix's product runs its sparse passes
-from N = 100, so the pair is traced on the heat matrix plus a positive
-fill: SPD, with no zero entry, so its product keeps the grid.
+allowance cannot hold. The heat matrix's dense view runs its sparse
+passes from N = 95, so the heat solves traced here with einsum forced no
+longer reach the grid product; the last test and the pair's case trace
+the heat matrix plus a positive fill instead: SPD, and not a view of a
+CrsMatrix, so its product keeps the grid.
 """
 
 import pytest
@@ -42,3 +44,15 @@ def test_a_dense_heat_solve_by_einsum_peaks_at_one_grid(monkeypatch):
     solution, peak = traced_peak(lambda: solve_heat(PROBLEM, CgConfig(), storage="dense"))
     assert solution.cg.converged
     assert peak <= GRID + ALLOWANCE, f"{peak} bytes at peak, {peak / GRID:.2f} grids"
+
+
+def test_a_dense_solve_of_a_full_matrix_by_einsum_peaks_at_o_of_n(monkeypatch):
+    """The matrix the pair's case traces at one grid more: einsum holds no terms buffer."""
+    monkeypatch.setattr(linalg, "_einsum_folds", lambda: True)
+    system = assemble(PROBLEM)
+    fill = 1e-3 * system.matrix.at(0, 0)
+    full = DenseMatrix.from_rows([[a + fill for a in row] for row in system.matrix.to_rows()])
+    assert full._sparse is None
+    result, peak = traced_peak(lambda: cg_solve(full, system.rhs, CgConfig()))
+    assert result.converged
+    assert peak <= ALLOWANCE, f"{peak} bytes at peak, {peak / GRID:.2f} grids"

@@ -1,6 +1,6 @@
 """The dense product's grid forms still solve the heat problem like CRS, bit for bit.
 
-From N = 100 a dense heat solve multiplies by the matrix's sparse
+From N = 95 a dense heat solve multiplies by the matrix's sparse
 passes, so solve_heat(storage="dense") no longer compares the grid
 product with the CRS one there. Here each grid form, the einsum pass
 and the multiply-then-reduce pair, is forced in turn through a callable
