@@ -8,10 +8,9 @@ output that cannot be written (an --out file, or a full or closed
 stdout), a problem whose assembly or solve overflows binary64, or one too
 large to allocate: a solve that needs more than the machine's physical
 memory is refused before allocating (a dense solve can hold two N x N
-grids, the matrix and the terms buffer its products share on a numpy
-whose einsum fails linalg's rounding probe; a CRS solve at least its
-48N-byte band), 3 pyramid ordering violation. Every exit 2 but invalid
-options prints one error: line.
+grids, the matrix and its grid product's terms buffer; a CRS solve at
+least its 48N-byte band), 3 pyramid ordering violation. Every exit 2 but
+invalid options prints one error: line.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -206,16 +205,16 @@ def _heat_command(
             args.subparser.error(str(exc))
         # refused before allocating: under lazy overcommit the allocation
         # succeeds and the first product exhausts the machine. A dense solve can
-        # hold two grids, since the fallback grid product keeps an N x N terms
-        # buffer; from N = 95 the heat matrix's product runs its CRS passes and
-        # the solve holds one grid, so 16 N^2 bytes is a safe upper bound. A CRS
+        # hold two grids, since the grid product keeps an N x N terms buffer;
+        # from N = 95 the heat matrix's product runs its CRS passes and the
+        # solve holds one grid, so 16 N^2 bytes is a safe upper bound. A CRS
         # solve holds at least its band, 3N float64 values and intp columns
         dense, memory = args.storage == "dense", _physical_memory()
         need = 16 * args.cells**2 if dense else 48 * args.cells
         hint = "; --storage crs needs O(N) memory" if dense else ""
         if memory is not None and need > memory:
-            held = ("can need {} bytes (up to two N x N grids: the matrix, and the products' "
-                    "terms where numpy's einsum rounds differently)" if dense else
+            held = ("can need {} bytes (up to two N x N grids: the matrix, and the grid "
+                    "product's terms buffer)" if dense else
                     "needs at least {} bytes (a band of 3N float64 values and intp columns)")
             raise _Refused(f"a {args.storage} solve at N = {args.cells} {held.format(need)}, "
                            f"more than this machine's {memory}{hint}")

@@ -18,13 +18,9 @@ expression whose summation order is pinned:
   CrsMatrix.to_dense runs the sparse product below on that CrsMatrix's
   passes when they cost less than the grid, as the heat matrix's do from
   N = 95: to_dense decides once, in O(rows), from the row lengths. Any
-  other matrix runs the grid form (_grid_kernel), which gives each row one
-  lane over the grid's transpose and adds each column j into all the
-  lanes in turn from +0.0: one einsum pass, or np.multiply and an
-  outer-axis np.add.reduce. einsum may fuse its multiply-add (one
-  rounding, not two), so it runs only after a once-per-process probe
-  (_einsum_folds) finds its bits equal to the pair's. A single row is a
-  running sum.
+  other matrix runs the grid product (_grid_kernel): np.multiply into a
+  terms buffer, then an outer-axis np.add.reduce that adds each column j
+  into every row's lane in turn from +0.0. A single row is a running sum.
 - The sparse product (_crs_kernel) runs passes acc[rows] += vals *
   x[cols], each holding at most one entry per row, in an order that adds
   each row's stored entries in increasing column order from +0.0.
@@ -33,20 +29,17 @@ A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
 the dense and compressed-row paths produce bitwise identical results for
 the same matrix, and a DenseMatrix may run either form. Several tests
-and the solver rely on that contract, so np.sum, np.dot, np.matmul and
-@ stay banned, and np.vdot is used only as _running_sum's np.vdot(terms,
-_ones(len(terms))): np.dot copies a zero-stride operand into BLAS ddot,
-whose order differs, and np.vecdot needs numpy 2.0. add.reduce is
-allowed only over the outer axis of a C-contiguous array with at least
-two lanes, and einsum only as "ji,j->i" on optimize=False's C path over
-a C-contiguous transpose with at least two rows, after the probe:
-elsewhere einsum sums a row as a dot product and add.reduce's order is
-unspecified (pairwise, blocked or BLAS). The orders of that vdot, an
-outer-axis add.reduce and einsum are numpy implementation properties,
-not documented guarantees; tests pin all three against a pure-Python
-loop. vdot and einsum are called past numpy's __array_function__
-dispatch (_undispatched, _einsum): the same C code runs on the same
-operands, so the bits cannot change.
+and the solver rely on that contract, so np.sum, np.dot, np.matmul,
+np.einsum and @ stay banned, and np.vdot is used only as _running_sum's
+np.vdot(terms, _ones(len(terms))): np.dot copies a zero-stride operand
+into BLAS ddot, whose order differs, and np.vecdot needs numpy 2.0.
+add.reduce is allowed only over the outer axis of a C-contiguous array
+with at least two lanes: elsewhere its order is unspecified (pairwise,
+blocked or BLAS). The orders of that vdot and an outer-axis add.reduce
+are numpy implementation properties, not documented guarantees; tests
+pin both against a pure-Python loop. vdot is called past numpy's
+__array_function__ dispatch (_undispatched): the same C code runs on the
+same operands, so the bits cannot change.
 
 Values are immutable: every public operation returns a new object and
 never mutates its inputs. Preconditions fail fast with a diagnostic naming
@@ -430,9 +423,13 @@ class CrsMatrix:
         The passes number the longest row's entries (_product_passes), so a
         row with no zero keeps the grid; otherwise they are cheap when
         _PASS_COST * longest < rows * cols. That is decided here from the
-        row lengths, in O(rows); the passes are built on the first product. Measured with numpy 2.4 on a 2-core x86-64 Xeon,
-        a pass costs about 1.2 us of numpy calls, 3000 grid entries of
-        0.4 ns. The rule prices no entry of a pass: the heat matrix's three
+        row lengths, in O(rows); the passes are built on the first product.
+        Measured with numpy 2.4 on a 2-core x86-64 Xeon, a pass costs
+        0.7-1.3 us of numpy calls and the grid product about 1.15 ns an
+        entry (N = 200-1000), so a pass is worth about 1000 grid entries:
+        _PASS_COST = 3000 is conservative, and keeps the grid for some
+        matrices whose passes are faster, such as the heat matrix below
+        N = 95. The rule prices no entry of a pass: the heat matrix's three
         passes are sliced and short, and no caller converts a matrix with
         long gathering passes.
         """
@@ -639,61 +636,6 @@ def _require_column_operand(m_cols: int, v: Vector, op: str) -> None:
         )
 
 
-_NUMPY_EINSUM = np.einsum  # numpy's own, as imported; a test may replace np.einsum
-# the C function np.einsum(..., optimize=False) calls, read from its own module's globals
-_c_einsum = getattr(_undispatched(np.einsum), "__globals__", {}).get("c_einsum")
-
-
-def _einsum() -> Callable:
-    """The einsum the dense product and its probe call, as np.einsum(..., optimize=False).
-
-    numpy's C c_einsum while np.einsum is numpy's own: with optimize=False
-    its Python wrapper only returns c_einsum(*operands, out=out), so the
-    same C function runs on the same operands. A replaced np.einsum (or a
-    numpy without c_einsum) is called past any dispatch, with optimize=False.
-    """
-    einsum = np.einsum
-    if einsum is _NUMPY_EINSUM and _c_einsum is not None:
-        return _c_einsum
-    return functools.partial(_undispatched(einsum), optimize=False)
-
-
-def _einsum_probe() -> tuple[np.ndarray, np.ndarray]:
-    """A fixed C-contiguous cols x rows grid and its x, built without np.random.
-
-    24 columns, so a pairwise or unrolled sum differs from the running
-    one; 67 lanes, so a vector body and a scalar tail both run; lane
-    scales from 1e-150 to 1e150 with alternating signs in x; and lane 0
-    all -0.0 products, which a sum that does not start from +0.0 keeps.
-    (Importing np.random would cost every process milliseconds.)
-    """
-    cols, rows = 24, 67
-    j = np.arange(cols, dtype=np.float64)
-    k = np.arange(cols * rows, dtype=np.float64).reshape(cols, rows)
-    scale = 10.0 ** (37 * np.arange(rows) % 301 - 150)
-    grid = np.sin(0.7 * k) * 2.0 ** (k % 7) * scale
-    x = (-1.0) ** j * (1.5 + np.cos(1.3 * j))
-    grid[:, 0] = -np.copysign(0.0, x)
-    return grid, x
-
-
-@functools.cache
-def _einsum_folds() -> bool:
-    """Whether _einsum()'s dense product has the pair's bits on this numpy; never raises.
-
-    Run on the first dense product, once per process: the pair is pinned
-    against a Python loop by tests, and einsum may fuse its multiply-add.
-    It calls the callable _einsum() resolves, as _dense_kernel binds it.
-    """
-    grid, x = _einsum_probe()
-    pair = np.add.reduce(np.multiply(grid, x[:, None]), axis=0) + 0.0
-    try:
-        folded = _einsum()("ji,j->i", grid, x, out=np.empty(len(pair)))
-        return folded.tobytes() == pair.tobytes()
-    except Exception:  # any failure selects the pair, which is always right
-        return False
-
-
 _PASS_COST = 3000  # a pass of the sparse product, in entries of the grid product; see to_dense
 
 
@@ -713,19 +655,12 @@ def _dense_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[]
 def _grid_kernel(m: DenseMatrix, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
     """m times x over the whole grid, bound to these arrays; unchecked.
 
-    Each row is a running sum in column order. With at least two rows, a
-    C-contiguous grid transpose (the column-major grid) and an einsum
-    that passes _einsum_folds, the product is one pass of the einsum
-    _einsum() resolves over the grid (numpy's C c_einsum, bound here
-    with its operands and out), with no buffer. Otherwise a cols x rows
-    terms buffer, allocated here once, takes terms[j, i] = grid[i, j] *
-    x[j], and the reduce over axis 0 adds each column j into every row's
-    lane in turn. out must not overlap x.
+    Each row is a running sum in column order. A cols x rows terms
+    buffer, allocated here once, takes terms[j, i] = grid[i, j] * x[j],
+    and the reduce over axis 0 adds each column j into every row's lane
+    in turn. out must not overlap x.
     """
-    grid_t = m._grid.T
-    if m.rows >= 2 and grid_t.flags.c_contiguous and _einsum_folds():
-        return functools.partial(_einsum(), "ji,j->i", grid_t, x, out=out)
-    terms, column = np.empty((m.cols, m.rows)), x[:, None]
+    terms, grid_t, column = np.empty((m.cols, m.rows)), m._grid.T, x[:, None]
 
     def product() -> np.ndarray:
         np.multiply(grid_t, column, terms)

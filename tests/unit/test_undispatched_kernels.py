@@ -1,13 +1,12 @@
-"""The kernels call vdot and einsum past numpy's __array_function__ dispatch, with the same bits.
+"""The running sum calls vdot past numpy's __array_function__ dispatch, with the same bits.
 
-linalg resolves np.vdot, and np.einsum where it binds a dense product,
-to the implementation behind numpy's dispatcher (NEP 18): the kernels
-pass only float64 ndarrays, which no override can claim, so the
-dispatch is a fixed cost per call that never changes the result. An
-ndarray subclass whose __array_function__ raises shows that no dispatch
-runs; its values must still give the bits of the left-to-right loop and
-of the dispatched einsum. A callable without an implementation behind
-it, such as a numpy that has no dispatcher or a test's fake, is kept.
+linalg resolves np.vdot to the implementation behind numpy's dispatcher
+(NEP 18): the kernels pass only float64 ndarrays, which no override can
+claim, so the dispatch is a fixed cost per call that never changes the
+result. An ndarray subclass whose __array_function__ raises shows that
+no dispatch runs; its values must still give the bits of the
+left-to-right loop. A callable without an implementation behind it,
+such as a numpy that has no dispatcher or a test's fake, is kept.
 """
 
 import functools
@@ -17,8 +16,7 @@ import numpy as np
 import pytest
 
 from heatcg import linalg
-from heatcg.linalg import DenseMatrix
-from testutil import assert_components_bitwise, assert_same_bits
+from testutil import assert_same_bits
 
 
 class Refusing(np.ndarray):
@@ -44,15 +42,3 @@ def test_a_callable_without_an_implementation_is_kept():
 
     assert linalg._undispatched(fake) is fake
 
-
-def test_the_bound_dense_product_has_the_dispatched_einsums_bits():
-    if not linalg._einsum_folds():
-        pytest.skip("this numpy's einsum fails the probe: the pair runs, not einsum")
-    grid_t, x = linalg._einsum_probe()
-    cols, rows = grid_t.shape
-    m = DenseMatrix._trusted(rows, cols, grid_t.T)  # column-major: its transpose is grid_t
-    out = np.empty(rows)
-    got = linalg._dense_kernel(m, x.view(Refusing), out)()
-    want = np.einsum("ji,j->i", grid_t, x, optimize=False)
-    assert got is out
-    assert_components_bitwise(got.tolist(), want.tolist(), "dense product")
