@@ -13,7 +13,11 @@ with the reason its order is pinned or cannot matter:
 
 The forms whose order numpy leaves open appear nowhere in src/heatcg:
 einsum (under any name), np.sum, np.dot, np.matmul, @ and a .sum(
-method.
+method. A reduction imported under another name (from numpy import sum
+as total) counts as a site of its own name.
+
+Each check also runs on a one-module source that breaks the contract,
+so a check that could never fire fails here.
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ def _sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
-@functools.cache
-def _sites() -> tuple[tuple[str, ast.AST], ...]:
+def _sites_of(sources: dict[str, str]) -> tuple[tuple[str, ast.AST], ...]:
     """Every node of every module with the dotted scope it sits in, "module.Class.function"."""
     found = []
 
@@ -68,35 +71,42 @@ def _sites() -> tuple[tuple[str, ast.AST], ...]:
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
-    for module, source in _sources().items():
+    for module, source in sources.items():
         visit(ast.parse(source, module), module)
     return tuple(found)
 
 
-def _own_functions() -> set[str]:
-    """heatcg's own function names, such as linalg.dot, a running sum: not numpy's reductions."""
-    return {node.name for _, node in _sites() if isinstance(node, ast.FunctionDef)}
+@functools.cache
+def _sites() -> tuple[tuple[str, ast.AST], ...]:
+    return _sites_of(_sources())
 
 
-def _reductions() -> set[tuple[str, str]]:
+def _reductions(sites) -> set[tuple[str, str]]:
+    # heatcg's own function names, such as linalg.dot, a running sum: not numpy's reductions
+    own = {node.name for _, node in sites if isinstance(node, ast.FunctionDef)}
     found = set()
-    for scope, node in _sites():
+    for scope, node in sites:
         if isinstance(node, ast.Attribute) and node.attr in REDUCING:
             found.add((scope, ast.unparse(node)))
-        elif (isinstance(node, ast.Name) and node.id in REDUCING
-              and node.id not in _own_functions()):
+        elif isinstance(node, ast.Name) and node.id in REDUCING and node.id not in own:
             found.add((scope, node.id))
+        elif (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in REDUCING
+              and node.name not in own):  # from numpy import sum as total
+            found.add((scope, node.name))
     return found
 
 
+def _vdot_reads(sites) -> set[str]:
+    return {scope for scope, node in sites
+            if isinstance(node, ast.Name) and node.id == "_vdot" and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_reduction_site_is_listed_with_its_reason():
-    assert _reductions() == set(ALLOWED)
+    assert _reductions(_sites()) == set(ALLOWED)
 
 
 def test_vdot_runs_only_through_the_running_sum():
-    reads = {scope for scope, node in _sites()
-             if isinstance(node, ast.Name) and node.id == "_vdot" and isinstance(node.ctx, ast.Load)}
-    assert reads == {"linalg._running_sum"}
+    assert _vdot_reads(_sites()) == {"linalg._running_sum"}
 
 
 def _matmul(node: ast.AST) -> bool:
@@ -110,8 +120,8 @@ def _named(node: ast.AST) -> str:
         return node.id
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return node.name
-    if isinstance(node, ast.alias):
-        return node.asname or node.name
+    if isinstance(node, ast.alias):  # both: from numpy import einsum as contract
+        return f"{node.name} {node.asname or ''}"
     if isinstance(node, ast.arg):
         return node.arg
     return ""
@@ -130,16 +140,19 @@ BANNED = {
 }
 
 
+def _banned(form: str, sites) -> list[str]:
+    return [f"{scope}: {ast.unparse(node)}" for scope, node in sites if BANNED[form](node)]
+
+
 @pytest.mark.parametrize("form", sorted(BANNED))
 def test_a_banned_form_appears_nowhere(form):
-    found = [f"{scope}: {ast.unparse(node)}" for scope, node in _sites() if BANNED[form](node)]
-    assert found == []
+    assert _banned(form, _sites()) == []
 
 
-def test_einsum_is_named_only_in_docstrings():
-    """No string a call could resolve (getattr(np, "einsum")) and no comment names it."""
+def _einsum_mentions(sources: dict[str, str]) -> list[str]:
+    """Each string but a docstring, and each comment, that names einsum."""
     found = []
-    for module, source in _sources().items():
+    for module, source in sources.items():
         tree = ast.parse(source)
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -152,4 +165,67 @@ def test_einsum_is_named_only_in_docstrings():
         found += [f"{module}:{token.start[0]} comment"
                   for token in tokenize.generate_tokens(io.StringIO(source).readline)
                   if token.type == tokenize.COMMENT and "einsum" in token.string]
-    assert found == []
+    return found
+
+
+def test_einsum_is_named_only_in_docstrings():
+    """No string a call could resolve (getattr(np, "einsum")) and no comment names it."""
+    assert _einsum_mentions(_sources()) == []
+
+
+# The checks above must fire: each is run on a one-module source that breaks the contract.
+
+MODULE = '''"""A module whose docstring may name einsum."""
+import numpy as np
+
+
+def kernel(a, b):
+    {}
+'''
+
+
+@pytest.mark.parametrize("form, line", [
+    ("einsum", 'return np.einsum("ij,j->i", a, b)'),
+    ("einsum", "from numpy import einsum as contract"),
+    ("einsum", "return np.core.einsumfunc.c_einsum(a, b)"),
+    ("np.sum", "return np.sum(a)"),
+    ("np.dot", "return np.dot(a, b)"),
+    ("np.matmul", "return np.matmul(a, b)"),
+    ("@", "return a @ b"),
+    ("@", "a @= b"),
+    (".sum(", "return a.sum()"),
+], ids=["np.einsum", "einsum-import-alias", "c_einsum", "np.sum", "np.dot", "np.matmul", "@",
+        "@=", ".sum("])
+def test_a_banned_form_is_caught(form, line):
+    sites = _sites_of({"fake": MODULE.format(line)})
+    assert len(_banned(form, sites)) >= 1
+
+
+@pytest.mark.parametrize("line, site", [
+    ("return np.add.reduce(a, 0)", ("fake.kernel", "np.add.reduce")),
+    ("return np.cumsum(a)", ("fake.kernel", "np.cumsum")),
+    ("return math.fsum(a)", ("fake.kernel", "math.fsum")),
+    ("return sum(a)", ("fake.kernel", "sum")),
+    ("from numpy import prod as total", ("fake.kernel", "prod")),
+    ("return a.mean()", ("fake.kernel", "a.mean")),
+], ids=["add.reduce", "cumsum", "fsum", "builtin-sum", "prod-import-alias", "mean-method"])
+def test_an_unlisted_reduction_is_caught_where_it_sits(line, site):
+    assert _reductions(_sites_of({"fake": MODULE.format(line)})) == {site}
+
+
+def test_an_own_function_named_like_a_reduction_is_not_one():
+    source = MODULE.format("return dot(a, b)") + "\n\ndef dot(a, b):\n    return a\n"
+    assert _reductions(_sites_of({"fake": source})) == set()
+
+
+def test_a_read_of_vdot_outside_the_running_sum_is_caught():
+    source = MODULE.format("return _vdot(a, b)") + "\n\ndef _running_sum(t):\n    return _vdot(t, t)\n"
+    assert _vdot_reads(_sites_of({"fake": source})) == {"fake.kernel", "fake._running_sum"}
+
+
+@pytest.mark.parametrize("line", [
+    'return getattr(np, "einsum")(a, b)',
+    "return a  # faster by einsum",
+], ids=["string", "comment"])
+def test_einsum_outside_a_docstring_is_caught(line):
+    assert len(_einsum_mentions({"fake": MODULE.format(line)})) == 1

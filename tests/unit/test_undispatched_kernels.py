@@ -5,7 +5,8 @@ linalg resolves np.vdot to the implementation behind numpy's dispatcher
 claim, so the dispatch is a fixed cost per call that never changes the
 result. An ndarray subclass whose __array_function__ raises shows that
 no dispatch runs; its values must still give the bits of the
-left-to-right loop. A callable without an implementation behind it,
+left-to-right loop. The grid product calls only ufuncs, which never
+take that dispatch, and the running sum of a one-row grid. A callable without an implementation behind it,
 such as a numpy that has no dispatcher or a test's fake, is kept.
 """
 
@@ -42,3 +43,16 @@ def test_a_callable_without_an_implementation_is_kept():
 
     assert linalg._undispatched(fake) is fake
 
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_the_bound_grid_product_dispatches_nothing_and_keeps_the_loops_bits(rows):
+    grid = [[1e300, 1.0, -1e300, -0.0, 0.1, 5e-324][r:] + [0.5] * r for r in range(rows)]
+    xs = [1.0, 3.0, 1.0, 2.0, -0.7, 0.5]
+    m = linalg.DenseMatrix._trusted(rows, 6, np.asfortranarray(grid).view(Refusing))
+    x, out = np.array(xs).view(Refusing), np.empty(rows)
+    got = linalg._grid_kernel(m, x, out)()
+    assert got is out
+    for r, row in enumerate(grid):
+        want = functools.reduce(operator.add, map(operator.mul, row, xs), 0.0)
+        assert_same_bits(got[r], want, f"row {r}")
