@@ -11,17 +11,20 @@ l2_norm(r), computes it again. Convergence means the absolute residual L2
 norm is at or below the tolerance, checked after initialization and after
 every step.
 
-One generator, _steps, runs these recurrences (Hestenes and Stiefel, 1952)
-in place on one workspace per solve (per call for cg_init and cg_step) in
-the expression order of phi + alpha d, r - alpha A d and r + beta d, so the
-bits are those of fresh arrays; cg_solve drives it to the tolerance or the
-cap, cg_step takes one step. _steps yields rT r alone, the one float the
-driver reads per step. numpy converts a Python float operand on every
-call, so alpha and beta live in the workspace as 0-d arrays, made once
-per workspace, which cg_step reads back as floats; the loop's names are
-bound once. A breakdown is raised before phi, r or d change, and a
-residual that already vanished before the product. No input changes, and
-each returned Vector owns N floats.
+One loop, _run, runs these recurrences (Hestenes and Stiefel, 1952) in
+place on one workspace per solve (per call for cg_init and cg_step) in
+the expression order of phi + alpha d, r - alpha A d and r + beta d, so
+the bits are those of fresh arrays. It steps while the residual norm is
+above the tolerance and the count below the cap, and returns rT r, the
+count and a breakdown's message, if any. cg_solve runs it once; cg_step
+runs it with a cap one above the state's count and an infinite starting
+norm, so it takes its step whatever rT r the state carries, and raises
+CgBreakdownError on a breakdown. numpy converts a Python float operand
+on every call, so alpha and beta live in the workspace as 0-d arrays,
+made once per workspace, which cg_step reads back as floats; the loop's
+names are bound once. A breakdown stops the loop before phi, r or d
+change, and a residual that already vanished before the product. No
+input changes, and each returned Vector owns N floats.
 
 Overflow raises ValueError. rT r is checked after initialization and
 after every step, which covers r; d and phi are checked once, on return.
@@ -41,7 +44,7 @@ yield bitwise identical iterates (see linalg).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -200,31 +203,29 @@ def _start(operator: OperatorLike, b: Vector, x0: Optional[Vector], caller: str,
     return ws, r_dot_r
 
 
-def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[float]:
-    """Steps n + 1, n + 2, ... in place on the workspace; rT r after each.
+def _run(ws: _Workspace, r_dot_r: float, residual_norm: float, n: int, tolerance: float,
+         cap: int) -> tuple[float, int, Optional[str]]:
+    """Step in place while residual_norm > tolerance and n < cap; rT r, n and any breakdown.
 
-    A breakdown raises before phi, r or d change, and a vanished residual
-    before the product; rT r must be finite, and then so is r. Names,
-    linalg._running_sum too, are read once, when the first step starts.
+    A breakdown returns its message with phi, r and d unchanged: a vanished
+    rT r before the product, a zero dT A d before the updates. The norm is
+    taken only of an rT r that a step computed, which must be finite, and
+    then so is r. Names, linalg._running_sum too, are read once per call.
     alpha and beta are written into the workspace's 0-d operands, which
     hold the last step's values.
     """
     phi, r, d, ad, scratch, product = ws.phi, ws.r, ws.d, ws.ad, ws.scratch, ws.product
     running_sum, multiply, add, subtract = linalg._running_sum, np.multiply, np.add, np.subtract
-    alpha, beta, isfinite = ws.alpha, ws.beta, math.isfinite
-    while True:
+    alpha, beta, isfinite, sqrt = ws.alpha, ws.beta, math.isfinite, math.sqrt
+    while residual_norm > tolerance and n < cap:
         if r_dot_r == 0.0:
-            raise CgBreakdownError(
-                f"rT r is exactly zero at iteration {n}; residual already vanished"
-            )
+            return r_dot_r, n, f"rT r is exactly zero at iteration {n}; residual already vanished"
         product()
         d_dot_r = running_sum(multiply(d, r, scratch))
         d_dot_ad = running_sum(multiply(d, ad, scratch))
         if d_dot_ad == 0.0:
-            raise CgBreakdownError(
-                f"dT A d is exactly zero at iteration {n}; "
-                f"operator is degenerate or not positive definite"
-            )
+            return r_dot_r, n, (f"dT A d is exactly zero at iteration {n}; "
+                                f"operator is degenerate or not positive definite")
         alpha[()] = d_dot_r / d_dot_ad
         add(phi, multiply(alpha, d, scratch), phi)
         subtract(r, multiply(alpha, ad, scratch), r)
@@ -234,7 +235,8 @@ def _steps(ws: _Workspace, r_dot_r: float, n: int) -> Iterator[float]:
         beta[()] = r_dot_r_next / r_dot_r
         add(r, multiply(beta, d, d), d)
         r_dot_r, n = r_dot_r_next, n + 1
-        yield r_dot_r
+        residual_norm = sqrt(r_dot_r)
+    return r_dot_r, n, None
 
 
 def _column(array: np.ndarray, op: str) -> Vector:
@@ -259,11 +261,13 @@ def cg_step(state: CgState, operator: OperatorLike) -> CgState:
     vector).
     """
     ws = _Workspace(operator, state.phi._array, state.r._array, state.d._array)
-    r_dot_r = next(_steps(ws, state.r_dot_r, state.n))
+    r_dot_r, n, breakdown = _run(ws, state.r_dot_r, math.inf, state.n, 0.0, state.n + 1)
+    if breakdown is not None:
+        raise CgBreakdownError(breakdown)
     return CgState(
         phi=_column(ws.phi, "cg_step"), r=Vector._trusted(ws.r, Orientation.COLUMN),
         d=_column(ws.d, "cg_step"), alpha=ws.alpha.item(), beta=ws.beta.item(),
-        n=state.n + 1, r_dot_r=r_dot_r,
+        n=n, r_dot_r=r_dot_r,
     )
 
 
@@ -277,20 +281,14 @@ def cg_solve(operator: OperatorLike, b: Vector, config: CgConfig) -> CgResult:
     """
     checked_instance(config, CgConfig, "config")
     ws, r_dot_r = _start(operator, b, config.initial_guess, "cg_solve", "initial_guess")
-    tolerance, cap, sqrt = config.tolerance, config.max_iterations, math.sqrt
-    n, breakdown, residual_norm, steps = 0, False, sqrt(r_dot_r), _steps(ws, r_dot_r, 0)
-    try:
-        while residual_norm > tolerance and n < cap:
-            r_dot_r = next(steps)
-            n += 1
-            residual_norm = sqrt(r_dot_r)
-    except CgBreakdownError:
-        breakdown = True
+    r_dot_r, n, breakdown = _run(ws, r_dot_r, math.sqrt(r_dot_r), 0, config.tolerance,
+                                 config.max_iterations)
+    residual_norm = math.sqrt(r_dot_r)
     _finite(ws.d, "cg_solve")
     return CgResult(
         solution=_column(ws.phi, "cg_solve"),
         iterations=n,
         residual_norm=residual_norm,
-        converged=residual_norm <= tolerance,
-        breakdown=breakdown,
+        converged=residual_norm <= config.tolerance,
+        breakdown=breakdown is not None,
     )

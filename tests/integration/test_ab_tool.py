@@ -3,7 +3,8 @@
 The checkout against itself gives the same temperatures and iteration
 counts on every round, so the tool exits 0. A copy whose solve_heat
 hands the solver 1.5 times the right-hand side gives other temperatures,
-so the tool names the round on stderr and exits 1.
+so the tool names the round on stderr and exits 1. The checkout against
+itself reports the same numpy calls per iteration on both sides.
 """
 
 import shutil
@@ -42,3 +43,14 @@ def test_a_copy_that_solves_to_other_bits_exits_1(tmp_path):
     proc = ab(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "bits differ: N = 8 dense heat, round 0" in proc.stderr
+
+
+def test_the_checkout_against_itself_counts_the_same_calls():
+    proc = ab(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split()[-4:] == ["A", "calls/it", "B", "calls/it"]
+    for line in lines[2:]:
+        a, b = line.split()[-2:]
+        assert len(a.split("/")) == 4 and all(float(n) > 0 for n in a.split("/"))
+        assert a == b

@@ -1,13 +1,15 @@
-"""The running sums behind every reduction, called as linalg calls them.
+"""The accumulate forms of a running sum, and linalg._running_sum against them.
 
-linalg._running_sum is np.add.accumulate(p).item(-1) + 0.0, and the
-dense product sums its rows in place with
-np.add.accumulate(grid, axis=1, out=grid). np.cumsum gives the same
+np.add.accumulate(p).item(-1) + 0.0 is the 1-D form, and
+np.add.accumulate(grid, axis=1, out=grid) sums a grid's rows in place.
+No kernel runs either any more: linalg._running_sum is a vdot against a
+stride-0 view of ones, and the grid product an outer-axis np.add.reduce
+(test_outer_axis_reduce.py pins that form). np.cumsum gives the same
 prefixes behind a slower Python wrapper (test_summation_order.py pins
 cumsum against the loop). Both forms must equal a pure-Python loop that
-starts at +0.0, bit for bit, and the 1-D form must equal cumsum, on
-signed zeros, subnormals, magnitudes from 1e-300 to 1e300 and terms that
-cancel exactly.
+starts at +0.0, bit for bit, the 1-D form must equal cumsum, and
+linalg._running_sum the 1-D form, on signed zeros, subnormals,
+magnitudes from 1e-300 to 1e300 and terms that cancel exactly.
 """
 
 import random
@@ -74,7 +76,7 @@ def test_in_place_row_sums_match_the_loop():
         rows, cols = rng.randint(1, 30), rng.randint(1, 300)
         grid = np.array([draw_terms(rng, cols)[:cols] for _ in range(rows)])
         expected = [fold(row) for row in grid.tolist()]
-        np.add.accumulate(grid, axis=1, out=grid)  # the dense product's form
+        np.add.accumulate(grid, axis=1, out=grid)  # the in-place row form; no kernel runs it
         for r, want in enumerate(expected):
             assert_same_bits(grid[r, -1] + 0.0, want, f"row {r} of {rows} x {cols}")
 

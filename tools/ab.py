@@ -17,9 +17,15 @@ zero entry, made anew each round and solved by cg_solve (dense, or
 dense_to_crs of it); only the solve is timed. The iteration cap is 4N.
 
 One line per N and storage: each side's median microseconds per
-iteration, B / A, and how many rounds each side was faster. Exit status
-1 if any round's temperatures or iteration counts differ between the
-sides, else 0.
+iteration, B / A, how many rounds each side was faster, and each side's
+numpy calls per CG iteration of one extra, untimed round (the first
+round's problem), as multiply/add/subtract/vdot: np.multiply, np.add,
+np.subtract and the side's linalg._vdot, which every running sum calls
+("-" for a tree without it). They are counted by wrapping those names
+for that round only, so a name bound before it starts goes uncounted;
+the calls of the whole round are divided by its iterations, so assembly
+and the start of CG add a fraction. Exit status 1 if any round's
+temperatures or iteration counts differ between the sides, else 0.
 """
 
 import argparse
@@ -72,6 +78,38 @@ def run(side: SimpleNamespace, cells: int, storage: str, full: bool, bounds: tup
     return seconds / max(result.iterations, 1), (result.iterations, bits)
 
 
+class Counted:
+    """f, counting its calls into counts[name]; attribute reads such as np.add.reduce go to f."""
+
+    def __init__(self, f, name: str, counts: dict) -> None:
+        self._f, self._name, self._counts = f, name, counts
+
+    def __call__(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._f(*args, **kwargs)
+
+    def __getattr__(self, attr: str):
+        return getattr(self._f, attr)
+
+
+def count(side: SimpleNamespace, cells: int, storage: str, full: bool, bounds: tuple) -> str:
+    """Calls per CG iteration of one run, as multiply/add/subtract/vdot; the names are restored."""
+    counts = dict.fromkeys(("multiply", "add", "subtract", "vdot"), 0)
+    targets = [(np, "multiply"), (np, "add"), (np, "subtract"), (side.linalg, "_vdot")]
+    targets = [(module, name) for module, name in targets if hasattr(module, name)]
+    originals = [getattr(module, name) for module, name in targets]
+    try:
+        for (module, name), f in zip(targets, originals):
+            setattr(module, name, Counted(f, name.lstrip("_"), counts))
+        _, (iterations, _) = run(side, cells, storage, full, bounds)
+    finally:
+        for (module, name), f in zip(targets, originals):
+            setattr(module, name, f)
+    counted = {name.lstrip("_") for _, name in targets}
+    return "/".join(f"{calls / max(iterations, 1):.2f}" if name in counted else "-"
+                    for name, calls in counts.items())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path)
@@ -85,14 +123,15 @@ def main(argv=None) -> int:
     matrix = "full" if args.full else "heat"
     print(f"A = {args.a}, B = {args.b}, {args.rounds} rounds, process time")
     print(f"{'N':>6} {'storage':>7} {'matrix':>6} {'A us/it':>9} {'B us/it':>9} {'B/A':>6} "
-          f"{'A wins':>6} {'B wins':>6}")
+          f"{'A wins':>6} {'B wins':>6} {'A calls/it':>23} {'B calls/it':>23}")
     differ = False
     for cells in args.cells:
         for storage in args.storage:
             rng = random.Random(1)
+            problems = [(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+                        for _ in range(args.rounds)]
             times = ([], [])
-            for k in range(args.rounds):
-                bounds = (rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+            for k, bounds in enumerate(problems):
                 order = (0, 1) if k % 2 == 0 else (1, 0)
                 outcome = [None, None]
                 for s in order:
@@ -103,8 +142,9 @@ def main(argv=None) -> int:
                     differ = True
             a, b = (statistics.median(t) * 1e6 for t in times)
             wins = sum(x < y for x, y in zip(*times)), sum(y < x for x, y in zip(*times))
+            calls = [count(side, cells, storage, args.full, problems[0]) for side in sides]
             print(f"{cells:>6} {storage:>7} {matrix:>6} {a:>9.2f} {b:>9.2f} {b / a:>6.2f} "
-                  f"{wins[0]:>6} {wins[1]:>6}")
+                  f"{wins[0]:>6} {wins[1]:>6} {calls[0]:>23} {calls[1]:>23}")
     return 1 if differ else 0
 
 
