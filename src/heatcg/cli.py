@@ -7,10 +7,11 @@ failing or slow tests), 2 invalid options, unreadable/malformed input,
 output that cannot be written (an --out file, or a full or closed
 stdout), a problem whose assembly or solve overflows binary64, or one too
 large to allocate: a solve that needs more than the machine's physical
-memory is refused before allocating (a dense solve can hold two N x N
-grids, the matrix and its grid product's terms buffer; a CRS solve at
-least its 48N-byte band), 3 pyramid ordering violation. Every exit 2 but
-invalid options prints one error: line.
+memory is refused before allocating (a dense solve when two N x N grids,
+the matrix and its grid product's terms buffer, would not fit, a
+conservative bound, since from N = 95 the heat matrix's dense view holds
+no grid; a CRS solve at least its 48N-byte band), 3 pyramid ordering
+violation. Every exit 2 but invalid options prints one error: line.
 
 Floats are printed with 17 significant digits, enough to round-trip
 binary64 exactly, so identical options produce byte-identical output.
@@ -204,10 +205,10 @@ def _heat_command(
         except (TypeError, ValueError) as exc:
             args.subparser.error(str(exc))
         # refused before allocating: under lazy overcommit the allocation
-        # succeeds and the first product exhausts the machine. A dense solve can
-        # hold two grids, since the grid product keeps an N x N terms buffer;
-        # from N = 95 the heat matrix's product runs its CRS passes and the
-        # solve holds one grid, so 16 N^2 bytes is a safe upper bound. A CRS
+        # succeeds and the first product exhausts the machine. A dense solve by
+        # the grid product holds two grids, the matrix and its N x N terms
+        # buffer; from N = 95 the heat matrix's dense view runs its CRS passes
+        # and holds no grid, so 16 N^2 bytes is a conservative bound. A CRS
         # solve holds at least its band, 3N float64 values and intp columns
         dense, memory = args.storage == "dense", _physical_memory()
         need = 16 * args.cells**2 if dense else 48 * args.cells

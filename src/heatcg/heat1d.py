@@ -93,8 +93,10 @@ class AssembledSystem:
     linalg._require_symmetric_tridiagonal checks first, and rhs and
     cell_centers are column Vectors of length N. assemble, which builds
     them so, skips those checks through _trusted. matrix is a dense view
-    of the same A, derived from crs on first access and then kept; it holds
-    N*N entries, so the sparse solve never asks for it.
+    of the same A, derived from crs on first access and then kept. From
+    N = 95 it multiplies by crs's passes and holds no grid until a grid
+    reader builds one (linalg.DenseMatrix); below that it holds its N*N
+    entries, so the sparse solve never asks for it.
     """
 
     crs: CrsMatrix

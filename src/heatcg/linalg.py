@@ -1,8 +1,10 @@
 """Minimal dense and sparse linear algebra with pinned accumulation order.
 
 Vectors and matrices keep their components in numpy arrays. A matrix
-keeps nothing else: a DenseMatrix holds one float64 grid, a CrsMatrix
-float64 values and intp column indices and row offsets, and accessors
+keeps nothing else: a DenseMatrix holds one float64 grid (a dense view
+that runs its CrsMatrix's passes holds that CrsMatrix, and builds the
+grid only when read), a CrsMatrix float64 values and intp column indices
+and row offsets, and accessors
 such as DenseMatrix.entries and CrsMatrix.values convert them on each
 read into tuples of plain Python floats and ints. Every kernel is a numpy
 expression whose summation order is pinned:
@@ -23,7 +25,9 @@ expression whose summation order is pinned:
   into every row's lane in turn from +0.0. A single row is a running sum.
 - The sparse product (_crs_kernel) runs passes acc[rows] += vals *
   x[cols], each holding at most one entry per row, in an order that adds
-  each row's stored entries in increasing column order from +0.0.
+  each row's stored entries in increasing column order from +0.0; a
+  pass over every row among the first two starts acc instead, bitwise
+  the same.
 
 A partial sum that starts at +0.0 never becomes -0.0 under round to
 nearest, so adding the 0.0 * x terms a sparse row skips cannot change it:
@@ -213,10 +217,14 @@ class DenseMatrix:
     A view made by CrsMatrix.to_dense whose passes cost less than the grid,
     such as the heat matrix from N = 95, multiplies by that CrsMatrix's
     passes instead, with the same bits; any other matrix by the grid.
+    Such a view holds no grid until something reads it (the readers
+    above, mat_scale, dense_to_crs or the grid product), which builds it
+    from the CrsMatrix once and keeps it.
     """
 
-    # _sparse: the CrsMatrix whose passes the product runs, or None for the grid
-    __slots__ = ("_rows", "_cols", "_grid", "_sparse")
+    # _sparse: the CrsMatrix whose passes the product runs, or None for the grid;
+    # _built_grid: the grid, or None until a view of _sparse first reads it
+    __slots__ = ("_rows", "_cols", "_built_grid", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[float]) -> None:
         self._rows = checked_count(rows, "rows")
@@ -229,18 +237,24 @@ class DenseMatrix:
                 f"got {len(checked)}"
             )
         grid = np.array(checked, dtype=np.float64).reshape(self._rows, self._cols)
-        self._grid, self._sparse = np.asfortranarray(grid), None
+        self._built_grid, self._sparse = np.asfortranarray(grid), None
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, grid: np.ndarray,
+    def _trusted(cls, rows: int, cols: int, grid: Optional[np.ndarray],
                  sparse: Optional["CrsMatrix"] = None) -> "DenseMatrix":
         # grid holds rows x cols finite float64 values: skip the per-component pass;
-        # sparse, if given, holds the same matrix
+        # sparse, if given, holds the same matrix, and grid may then be None
         self = cls.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._grid, self._sparse = grid, sparse
+        self._built_grid, self._sparse = grid, sparse
         return self
+
+    @property
+    def _grid(self) -> np.ndarray:
+        if self._built_grid is None:  # a view of _sparse
+            self._built_grid = self._sparse._dense_grid()
+        return self._built_grid
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[float]]) -> "DenseMatrix":
@@ -424,6 +438,10 @@ class CrsMatrix:
         row with no zero keeps the grid; otherwise they are cheap when
         _PASS_COST * longest < rows * cols. That is decided here from the
         row lengths, in O(rows); the passes are built on the first product.
+        A view that takes the passes holds no grid, so its product and a
+        solve on it take O(nnz) memory; a grid reader builds the grid on
+        its first read (DenseMatrix). A view that keeps the grid product
+        builds its grid here.
         Measured with numpy 2.4 on a 2-core x86-64 Xeon, a pass costs
         0.7-1.3 us of numpy calls and the grid product about 1.15 ns an
         entry (N = 200-1000), so a pass is worth about 1000 grid entries:
@@ -433,11 +451,16 @@ class CrsMatrix:
         passes are sliced and short, and no caller converts a matrix with
         long gathering passes.
         """
+        longest = int(np.diff(self._row_ptr).max(initial=0))
+        if longest < self._cols and _PASS_COST * longest < self._rows * self._cols:
+            return DenseMatrix._trusted(self._rows, self._cols, None, self)
+        return DenseMatrix._trusted(self._rows, self._cols, self._dense_grid())
+
+    def _dense_grid(self) -> np.ndarray:
+        """The rows x cols grid, column-major: zeros with the stored entries scattered in."""
         grid = np.zeros((self._rows, self._cols), order="F")
         grid[_entry_rows(self._row_ptr), self._col_indices] = self._values
-        longest = int(np.diff(self._row_ptr).max(initial=0))
-        cheap = longest < self._cols and _PASS_COST * longest < self._rows * self._cols
-        return DenseMatrix._trusted(self._rows, self._cols, grid, self if cheap else None)
+        return grid
 
     # the fields _checks' shared __eq__ and __hash__ compare and hash, as one tuple
     __match_args__ = ("rows", "cols", "values", "col_indices", "row_ptr")
@@ -701,6 +724,14 @@ def _crs_kernel(
     multiply into scratch and one add into out and allocates nothing; a
     gathering pass indexes out[rows] += values * x[cols] on each call. out
     must not overlap x.
+
+    When pass 0 or 1 is sliced over every row, as the heat matrix's
+    diagonal is, it runs first as out = terms + 0.0 in place of filling
+    out with 0.0. Those passes hold a row's first two terms a and b, and
+    (0.0 + b) + a is bitwise (0.0 + a) + b: the sum is commutative, and
+    0.0 + t turns only -0.0 into +0.0. The + 0.0 keeps that: a product
+    written straight into out would leave -0.0 where the sum from +0.0
+    gives +0.0. Any other matrix fills out first.
     """
     bound = []  # a loop: a generator expression costs twice as much per call
     for rows, values, cols in m._passes:
@@ -708,10 +739,16 @@ def _crs_kernel(
             bound.append((out[rows], values, x[cols], scratch[: len(values)]))
         else:
             bound.append((rows, values, cols, None))
-    add, multiply = np.add, np.multiply
+    full = [k for k, (_, _, _, terms) in enumerate(bound[:2])
+            if terms is not None and len(terms) == len(out)]
+    lead = bound.pop(full[0]) if full else None
+    add, multiply, zero = np.add, np.multiply, np.zeros(())
 
     def product() -> np.ndarray:
-        out.fill(0.0)
+        if lead is None:
+            out.fill(0.0)
+        else:
+            add(multiply(lead[1], lead[2], lead[3]), zero, out)
         for target, values, source, terms in bound:
             if terms is None:  # target and source index out and x
                 out[target] += values * x[source]

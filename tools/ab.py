@@ -17,9 +17,11 @@ zero entry, made anew each round and solved by cg_solve (dense, or
 dense_to_crs of it); only the solve is timed. The iteration cap is 4N.
 
 One line per N and storage: each side's median microseconds per
-iteration, B / A, how many rounds each side was faster, and each side's
-numpy calls per CG iteration of one extra, untimed round (the first
-round's problem), as multiply/add/subtract/vdot: np.multiply, np.add,
+iteration, B / A, how many rounds each side was faster, each side's
+peak bytes under tracemalloc in one extra, untimed round (the first
+round's problem, the whole round traced, a --full matrix's making
+included), and each side's numpy calls per CG iteration of one more
+such round, as multiply/add/subtract/vdot: np.multiply, np.add,
 np.subtract and the side's linalg._vdot, which every running sum calls
 ("-" for a tree without it). They are counted by wrapping those names
 for that round only, so a name bound before it starts goes uncounted;
@@ -29,12 +31,14 @@ temperatures or iteration counts differ between the sides, else 0.
 """
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +80,17 @@ def run(side: SimpleNamespace, cells: int, storage: str, full: bool, bounds: tup
     seconds = time.process_time() - start
     bits = [t.hex() for t in result.solution.components]
     return seconds / max(result.iterations, 1), (result.iterations, bits)
+
+
+def peak(side: SimpleNamespace, cells: int, storage: str, full: bool, bounds: tuple) -> int:
+    """The peak bytes tracemalloc sees allocated during one run."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(side, cells, storage, full, bounds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class Counted:
@@ -123,7 +138,8 @@ def main(argv=None) -> int:
     matrix = "full" if args.full else "heat"
     print(f"A = {args.a}, B = {args.b}, {args.rounds} rounds, process time")
     print(f"{'N':>6} {'storage':>7} {'matrix':>6} {'A us/it':>9} {'B us/it':>9} {'B/A':>6} "
-          f"{'A wins':>6} {'B wins':>6} {'A calls/it':>23} {'B calls/it':>23}")
+          f"{'A wins':>6} {'B wins':>6} {'A peak':>10} {'B peak':>10} "
+          f"{'A calls/it':>23} {'B calls/it':>23}")
     differ = False
     for cells in args.cells:
         for storage in args.storage:
@@ -142,9 +158,11 @@ def main(argv=None) -> int:
                     differ = True
             a, b = (statistics.median(t) * 1e6 for t in times)
             wins = sum(x < y for x, y in zip(*times)), sum(y < x for x, y in zip(*times))
+            peaks = [peak(side, cells, storage, args.full, problems[0]) for side in sides]
             calls = [count(side, cells, storage, args.full, problems[0]) for side in sides]
             print(f"{cells:>6} {storage:>7} {matrix:>6} {a:>9.2f} {b:>9.2f} {b / a:>6.2f} "
-                  f"{wins[0]:>6} {wins[1]:>6} {calls[0]:>23} {calls[1]:>23}")
+                  f"{wins[0]:>6} {wins[1]:>6} {peaks[0]:>10} {peaks[1]:>10} "
+                  f"{calls[0]:>23} {calls[1]:>23}")
     return 1 if differ else 0
 
 
